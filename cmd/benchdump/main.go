@@ -3,7 +3,7 @@
 // and developers can archive comparable baselines (BENCH_baseline.json at
 // the repository root) without scraping `go test -bench` output.
 //
-//	benchdump [-hotels N] [-chained-compare] [-cpuprofile FILE] [-o FILE]
+//	benchdump [-hotels N] [-chained-depth D] [-chained-fanout F] [-cpuprofile FILE] [-o FILE]
 package main
 
 import (
@@ -134,10 +134,6 @@ type chainedDoc struct {
 	Fanout  int     `json:"fanout"`
 	Plans   int     `json:"plans"`
 	Speedup float64 `json:"speedup"` // legacy ns_per_op / current-engine ns_per_op
-	// SpeedupVsFused (compare mode only) is the PR 6 headline: the
-	// BENCH_pr2-era fused engine's ns_per_op over the compiled engine's,
-	// measured in the same process on the same machine.
-	SpeedupVsFused float64 `json:"speedup_vs_fused,omitempty"`
 	// Fused-engine work counters from the last fused iteration.
 	StatesExpanded uint64 `json:"states_expanded"`
 	EdgesBuilt     uint64 `json:"edges_built"`
@@ -155,7 +151,6 @@ func main() {
 	chainedClients := flag.Int("chained-clients", 0, "with -chained-src: emit the ChainedClients workload with this many planned clients instead (the incremental-smoke surface)")
 	incremental := flag.Int("incremental", 0, "run the incremental-verification series (cold/warm/single-edit through a persistent store) with this many planned clients (0 skips it)")
 	audit := flag.Bool("audit", false, "run the flow-audit series (cold/warm `susc audit` over the Chained workload, memo hit rate included)")
-	compare := flag.Bool("chained-compare", false, "emit legacy/fused/compiled series side-by-side for the Chained workload (fused = the frozen BENCH_pr2-era reference engine)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (taken after the benchmarks) to this file")
 	flag.Parse()
@@ -235,7 +230,7 @@ func main() {
 		fmt.Sprintf("PlanSynthesisCached/workers=%d", 4), r, cache.Stats().HitRate()))
 
 	if *depth > 0 {
-		doc.Chained = runChained(*depth, *fanout, *compare, &doc)
+		doc.Chained = runChained(*depth, *fanout, &doc)
 	}
 	if *lintDepth > 0 {
 		doc.LintSemantic = runLintSemantic(*lintDepth, *fanout, &doc)
@@ -264,14 +259,11 @@ func main() {
 	}
 }
 
-// runChained benchmarks the engines on one Chained workload, appends the
-// series to the document, and returns the comparison summary. The default
-// mode emits the historical legacy/fused pair (fused = the current,
-// compiled engine). Compare mode emits three series — legacy, fused (the
-// frozen EngineReference, i.e. the engine BENCH_pr2 called "fused") and
-// compiled — so a speedup claim against the PR 2 numbers is measured in
-// one process on one machine instead of across archived JSON files.
-func runChained(depth, fanout int, compare bool, doc *document) *chainedDoc {
+// runChained benchmarks the legacy oracle against the production engine
+// on one Chained workload, appends the legacy/fused pair of series to the
+// document (fused = the current, compiled engine), and returns the
+// comparison summary with the engine's work counters.
+func runChained(depth, fanout int, doc *document) *chainedDoc {
 	w := benchgen.Chained(depth, fanout)
 	var stats plans.FusedStats
 	run := func(engine plans.Engine, st *plans.FusedStats) testing.BenchmarkResult {
@@ -305,42 +297,13 @@ func runChained(depth, fanout int, compare bool, doc *document) *chainedDoc {
 	nsPerOp := func(r testing.BenchmarkResult) float64 {
 		return float64(r.T.Nanoseconds()) / float64(r.N)
 	}
-	// merge pools two benchmark results: summing durations, iterations and
-	// allocation counters keeps every per-op figure a true mean over the
-	// combined iterations.
-	merge := func(a, b testing.BenchmarkResult) testing.BenchmarkResult {
-		return testing.BenchmarkResult{
-			N: a.N + b.N, T: a.T + b.T,
-			MemAllocs: a.MemAllocs + b.MemAllocs,
-			MemBytes:  a.MemBytes + b.MemBytes,
-		}
-	}
 	legacy := run(plans.EngineLegacy, nil)
-	var compiled, reference testing.BenchmarkResult
-	if compare {
-		// Interleave the two engines under comparison and average over a
-		// few rounds: on a shared box the available throughput drifts on
-		// the scale of one series, so back-to-back single runs confound
-		// engine speed with machine drift. Alternating the engines puts
-		// both under (approximately) the same drift, and flipping which
-		// engine leads each round cancels the residual position effect
-		// (whichever series runs second starts on the heap state its
-		// predecessor left behind).
-		const rounds = 4
-		for r := 0; r < rounds; r++ {
-			if r%2 == 0 {
-				reference = merge(reference, run(plans.EngineReference, nil))
-				compiled = merge(compiled, run(plans.EngineFused, &stats))
-			} else {
-				compiled = merge(compiled, run(plans.EngineFused, &stats))
-				reference = merge(reference, run(plans.EngineReference, nil))
-			}
-		}
-	} else {
-		compiled = run(plans.EngineFused, &stats)
-	}
+	compiled := run(plans.EngineFused, &stats)
 	base := fmt.Sprintf("PlanSynthesisChained/depth=%d/fanout=%d", depth, fanout)
-	cd := &chainedDoc{
+	doc.Results = append(doc.Results,
+		toResult(base+"/legacy", legacy, 0),
+		toResult(base+"/fused", compiled, 0))
+	return &chainedDoc{
 		Depth:          depth,
 		Fanout:         fanout,
 		Plans:          w.PlanCount,
@@ -350,18 +313,6 @@ func runChained(depth, fanout int, compare bool, doc *document) *chainedDoc {
 		ReplayStates:   stats.ReplayStates.Load(),
 		ReplayMemoHits: stats.ReplayMemoHits.Load(),
 	}
-	if compare {
-		cd.SpeedupVsFused = nsPerOp(reference) / nsPerOp(compiled)
-		doc.Results = append(doc.Results,
-			toResult(base+"/legacy", legacy, 0),
-			toResult(base+"/fused", reference, 0),
-			toResult(base+"/compiled", compiled, 0))
-		return cd
-	}
-	doc.Results = append(doc.Results,
-		toResult(base+"/legacy", legacy, 0),
-		toResult(base+"/fused", compiled, 0))
-	return cd
 }
 
 // runLintSemantic benchmarks the full lint suite — default analyzers plus

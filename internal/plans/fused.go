@@ -19,7 +19,10 @@ import (
 	"susc/internal/verify"
 )
 
-// Engine selects the synthesis strategy.
+// Engine selects the synthesis strategy. There are exactly two:
+// EngineFused is the production engine, and EngineLegacy — a direct
+// reading of Definitions 2, 4 and 5 — is the differential oracle every
+// equivalence test compares it against.
 type Engine int
 
 const (
@@ -34,12 +37,6 @@ const (
 	// EngineLegacy enumerates every complete plan first and validates
 	// each with an independent verify.CheckPlanOpts exploration.
 	EngineLegacy
-	// EngineReference is the shared-graph engine as it stood before the
-	// compiled-automata rework (interpreted stepping, map-keyed interning;
-	// see reference.go). Sequential only. It exists as the measured
-	// baseline of `benchdump -chained-compare` and as a third equivalence
-	// oracle — not for production use.
-	EngineReference
 )
 
 // FusedStats counts the work of one fused synthesis. The fields are

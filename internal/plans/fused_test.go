@@ -72,6 +72,9 @@ func TestFusedEquivalenceDeterministic(t *testing.T) {
 
 	c := benchgen.Chained(2, 3)
 	assertEquivalent(t, "chained(2,3)", c.Repo, c.Table, c.Loc, c.Client)
+
+	c = benchgen.Chained(3, 2)
+	assertEquivalent(t, "chained(3,2)", c.Repo, c.Table, c.Loc, c.Client)
 }
 
 // worldGen builds small random worlds: services decorated with random
@@ -256,6 +259,35 @@ func TestFusedStats(t *testing.T) {
 	if stats.StatesExpanded.Load() >= stats.ReplayStates.Load() {
 		t.Errorf("no sharing: expanded %d states for %d replayed visits",
 			stats.StatesExpanded.Load(), stats.ReplayStates.Load())
+	}
+}
+
+// TestFusedStatsPinnedChained pins the engine's deterministic work counts
+// on Chained(12,2) — the plan-family benchmark workload — at every worker
+// count: a change to the graph the engine builds or the replays it runs
+// shows up here as a count, not as wall-clock noise.
+func TestFusedStatsPinnedChained(t *testing.T) {
+	w := benchgen.Chained(12, 2)
+	for _, workers := range []int{0, 1, 2, 4} {
+		var stats plans.FusedStats
+		if _, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
+			plans.Options{PruneNonCompliant: true, Workers: workers, Stats: &stats}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want uint64
+		}{
+			{"StatesExpanded", stats.StatesExpanded.Load(), 36856},
+			{"EdgesBuilt", stats.EdgesBuilt.Load(), 40950},
+			{"ReplayStates", stats.ReplayStates.Load(), 249856},
+			{"ReplayMemoHits", stats.ReplayMemoHits.Load(), 0},
+			{"PlansAssessed", stats.PlansAssessed.Load(), 4096},
+		} {
+			if c.got != c.want {
+				t.Errorf("workers=%d: %s = %d, want %d", workers, c.name, c.got, c.want)
+			}
+		}
 	}
 }
 

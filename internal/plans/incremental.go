@@ -3,7 +3,6 @@ package plans
 import (
 	"errors"
 	"sort"
-	"sync"
 
 	"susc/internal/budget"
 	"susc/internal/faultinject"
@@ -113,7 +112,7 @@ func assessAllIncremental(repo network.Repository, table *policy.Table,
 }
 
 // recomputeMisses validates the missed plans one exploration each —
-// panic-guarded and worker-parallel exactly like the legacy engine — and
+// through the legacy engine's guarded worker pool (assessEach) — and
 // writes decided verdicts back to the store. Unknown verdicts (budget
 // cutoffs) are never persisted.
 func recomputeMisses(repo network.Repository, table *policy.Table,
@@ -123,107 +122,36 @@ func recomputeMisses(repo network.Repository, table *policy.Table,
 	cache := opts.Cache
 	disk := cache.Disk()
 	vopts := verify.Options{Cache: cache, Budget: opts.Budget, SkipDiskProbe: true}
-	checkOne := func(i int) (Assessment, error) {
-		plan := complete[i]
-		key := plan.Key()
-		var report *verify.Report
-		err := budget.Guard("plan "+key, func() error {
-			got, err := disk.Once(store.KindPlanReport, sums[i], func() (any, error) {
-				// A concurrent assessor may have written the cone while we
-				// queued behind the flight.
-				if raw, ok := disk.Peek(store.KindPlanReport, sums[i]); ok {
-					if r, derr := verify.DecodeReport(raw); derr == nil {
-						return r, nil
-					}
+	return assessEach(complete, misses, opts.Workers, out, func(i int, key string) (*verify.Report, error) {
+		got, err := disk.Once(store.KindPlanReport, sums[i], func() (any, error) {
+			// A concurrent assessor may have written the cone while we
+			// queued behind the flight.
+			if raw, ok := disk.Peek(store.KindPlanReport, sums[i]); ok {
+				if r, derr := verify.DecodeReport(raw); derr == nil {
+					return r, nil
 				}
-				if faultinject.Enabled() {
-					faultinject.Fire(faultinject.PlansWorker, key)
-				}
-				r, err := verify.CheckPlanOpts(repo, table, loc, client, plan, vopts)
-				if err != nil {
-					return nil, err
-				}
-				if r.Verdict != verify.Unknown {
-					enc, eerr := verify.EncodeReport(r)
-					if eerr != nil {
-						return nil, eerr
-					}
-					if perr := disk.Put(store.KindPlanReport, sums[i], enc); perr != nil {
-						return nil, perr
-					}
-				}
-				return r, nil
-			})
-			if err != nil {
-				return err
 			}
-			report = got.(*verify.Report)
-			return nil
+			if faultinject.Enabled() {
+				faultinject.Fire(faultinject.PlansWorker, key)
+			}
+			r, err := verify.CheckPlanOpts(repo, table, loc, client, complete[i], vopts)
+			if err != nil {
+				return nil, err
+			}
+			if r.Verdict != verify.Unknown {
+				enc, eerr := verify.EncodeReport(r)
+				if eerr != nil {
+					return nil, eerr
+				}
+				if perr := disk.Put(store.KindPlanReport, sums[i], enc); perr != nil {
+					return nil, perr
+				}
+			}
+			return r, nil
 		})
 		if err != nil {
-			var ie *budget.InternalError
-			if errors.As(err, &ie) {
-				return Assessment{Plan: plan,
-					Report: &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}}, err
-			}
-			return Assessment{}, err
+			return nil, err
 		}
-		return Assessment{Plan: plan, Report: report}, nil
-	}
-
-	var firstInternal *budget.InternalError
-	if opts.Workers > 1 && len(misses) > 1 {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		jobs := make(chan int)
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					a, err := checkOne(i)
-					if err != nil {
-						var ie *budget.InternalError
-						mu.Lock()
-						if errors.As(err, &ie) {
-							if firstInternal == nil {
-								firstInternal = ie
-							}
-						} else if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						if a.Report == nil {
-							continue
-						}
-					}
-					out[i] = a
-				}
-			}()
-		}
-		for _, i := range misses {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	} else {
-		for _, i := range misses {
-			a, err := checkOne(i)
-			if err != nil {
-				var ie *budget.InternalError
-				if !errors.As(err, &ie) {
-					return nil, err
-				}
-				if firstInternal == nil {
-					firstInternal = ie
-				}
-			}
-			out[i] = a
-		}
-	}
-	return firstInternal, nil
+		return got.(*verify.Report), nil
+	})
 }

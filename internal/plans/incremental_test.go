@@ -228,7 +228,7 @@ func TestIncrementalLargeEditFallsBackToFused(t *testing.T) {
 	}
 }
 
-// TestEngineParityWithStore is the acceptance gate: all three engines
+// TestEngineParityWithStore is the acceptance gate: both engines
 // produce byte-identical rendered verdicts with the store disabled,
 // enabled-cold and enabled-warm. The paper world exercises every verdict
 // class (valid, non-compliant, security violation).
@@ -249,7 +249,6 @@ func TestEngineParityWithStore(t *testing.T) {
 		e    plans.Engine
 	}{
 		{"legacy", plans.EngineLegacy},
-		{"reference", plans.EngineReference},
 		{"fused", plans.EngineFused},
 	}
 	for _, eng := range engines {

@@ -91,12 +91,6 @@ func AssessAll(repo network.Repository, table *policy.Table,
 		// attached — no separate incremental dispatch needed.
 		return assessAllLegacy(repo, table, loc, client, opts)
 	}
-	if opts.Engine == EngineReference {
-		// The reference engine is a frozen baseline: it never touches the
-		// persistent tier, by design, so it stays byte-for-byte the PR 2
-		// engine.
-		return assessAllReference(repo, table, loc, client, opts)
-	}
 	if opts.Cache != nil && opts.Cache.Disk() != nil && !opts.MemoryTierOnly {
 		return assessAllIncremental(repo, table, loc, client, opts)
 	}
@@ -147,85 +141,20 @@ func assessAllLegacy(repo network.Repository, table *policy.Table,
 	}
 	vopts := verify.Options{Cache: cache, Budget: opts.Budget,
 		SkipDiskProbe: opts.MemoryTierOnly}
-	// checkGuarded validates one plan inside a panic guard: a worker panic
-	// becomes a typed *budget.InternalError carrying the plan key as a
-	// repro bundle, the plan's verdict degrades to Unknown, and the rest
-	// of the fleet finishes undisturbed.
-	checkGuarded := func(plan network.Plan) (Assessment, error) {
-		key := plan.Key()
-		var report *verify.Report
-		err := budget.Guard("plan "+key, func() error {
+	all := make([]int, len(complete))
+	for i := range all {
+		all[i] = i
+	}
+	out := make([]Assessment, len(complete))
+	firstInternal, err := assessEach(complete, all, opts.Workers, out,
+		func(i int, key string) (*verify.Report, error) {
 			if faultinject.Enabled() {
 				faultinject.Fire(faultinject.PlansWorker, key)
 			}
-			var err error
-			report, err = verify.CheckPlanOpts(repo, table, loc, client, plan, vopts)
-			return err
+			return verify.CheckPlanOpts(repo, table, loc, client, complete[i], vopts)
 		})
-		if err != nil {
-			var ie *budget.InternalError
-			if errors.As(err, &ie) {
-				return Assessment{Plan: plan,
-					Report: &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}}, err
-			}
-			return Assessment{}, err
-		}
-		return Assessment{Plan: plan, Report: report}, nil
-	}
-	out := make([]Assessment, len(complete))
-	var firstInternal *budget.InternalError
-	if opts.Workers > 1 && len(complete) > 1 {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		jobs := make(chan int)
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					a, err := checkGuarded(complete[i])
-					if err != nil {
-						var ie *budget.InternalError
-						mu.Lock()
-						if errors.As(err, &ie) {
-							if firstInternal == nil {
-								firstInternal = ie
-							}
-						} else if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						if a.Report == nil {
-							continue
-						}
-					}
-					out[i] = a
-				}
-			}()
-		}
-		for i := range complete {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	} else {
-		for i, plan := range complete {
-			a, err := checkGuarded(plan)
-			if err != nil {
-				var ie *budget.InternalError
-				if !errors.As(err, &ie) {
-					return nil, err
-				}
-				if firstInternal == nil {
-					firstInternal = ie
-				}
-			}
-			out[i] = a
-		}
+	if err != nil {
+		return nil, err
 	}
 	// sort on precomputed keys: Plan.Key() rebuilds its string per call,
 	// so computing it once per plan beats recomputing per comparison
@@ -238,6 +167,93 @@ func assessAllLegacy(repo network.Repository, table *policy.Table,
 		return out, firstInternal
 	}
 	return out, nil
+}
+
+// assessEach validates complete[i] for every i in idx with check,
+// writing out[i], on a fleet of workers goroutines (sequentially below two
+// workers or two plans). check runs inside a panic guard: a panic becomes
+// a typed *budget.InternalError carrying the plan key as a repro bundle,
+// that plan's verdict degrades to Unknown, and the rest of the fleet
+// finishes undisturbed; the first such error is returned. Any other error
+// aborts the call and is returned as the second result.
+func assessEach(complete []network.Plan, idx []int, workers int, out []Assessment,
+	check func(i int, key string) (*verify.Report, error)) (*budget.InternalError, error) {
+
+	guarded := func(i int) (Assessment, error) {
+		plan := complete[i]
+		key := plan.Key()
+		var report *verify.Report
+		err := budget.Guard("plan "+key, func() error {
+			var err error
+			report, err = check(i, key)
+			return err
+		})
+		if err != nil {
+			var ie *budget.InternalError
+			if errors.As(err, &ie) {
+				return Assessment{Plan: plan,
+					Report: &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}}, err
+			}
+			return Assessment{}, err
+		}
+		return Assessment{Plan: plan, Report: report}, nil
+	}
+
+	var firstInternal *budget.InternalError
+	if workers <= 1 || len(idx) <= 1 {
+		for _, i := range idx {
+			a, err := guarded(i)
+			if err != nil {
+				var ie *budget.InternalError
+				if !errors.As(err, &ie) {
+					return nil, err
+				}
+				if firstInternal == nil {
+					firstInternal = ie
+				}
+			}
+			out[i] = a
+		}
+		return firstInternal, nil
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var firstErr error
+	jobs := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				a, err := guarded(i)
+				if err != nil {
+					var ie *budget.InternalError
+					mu.Lock()
+					if errors.As(err, &ie) {
+						if firstInternal == nil {
+							firstInternal = ie
+						}
+					} else if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					if a.Report == nil {
+						continue
+					}
+				}
+				out[i] = a
+			}
+		}()
+	}
+	for _, i := range idx {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return firstInternal, nil
 }
 
 type byKey struct {

@@ -533,6 +533,9 @@ type flightCall struct {
 	wg  sync.WaitGroup
 	val any
 	err error
+	// dups counts the callers that joined this flight instead of
+	// computing; guarded by flightGroup.mu.
+	dups int
 }
 
 type flightGroup struct {
@@ -546,6 +549,7 @@ func (g *flightGroup) do(k ikey, fn func() (any, error)) (any, error) {
 		g.m = map[ikey]*flightCall{}
 	}
 	if c, ok := g.m[k]; ok {
+		c.dups++
 		g.mu.Unlock()
 		c.wg.Wait()
 		return c.val, c.err

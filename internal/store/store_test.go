@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -377,14 +378,18 @@ func TestOnceSingleflight(t *testing.T) {
 			results <- v
 		}()
 	}
-	// Let the goroutines pile up on the flight, then release.
+	// Let the goroutines pile up on the flight, then release. A caller
+	// arriving after the flight has landed would start a flight of its
+	// own, so wait until every other caller has joined the leader's.
 	for {
-		mu.Lock()
-		c := calls
-		mu.Unlock()
-		if c >= 1 {
+		s.flight.mu.Lock()
+		c := s.flight.m[ikey{kind: KindPlanReport, sum: k}]
+		joined := c != nil && c.dups == waiters-1
+		s.flight.mu.Unlock()
+		if joined {
 			break
 		}
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
