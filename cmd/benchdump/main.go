@@ -356,7 +356,7 @@ func runLintSemantic(depth, fanout int, doc *document) *lintDoc {
 // the edit pass — one divergent service of client 0 changed — recomputes
 // exactly the clients whose dependency cone contains the edit. A second
 // triple covers the single-client Hotels plan family through
-// plans.AssessAll's incremental assessor.
+// plans.AssessAll's store probe and fused replay of the misses.
 func runIncremental(depth, fanout, n, hotels int, doc *document) *incrementalDoc {
 	dir, err := os.MkdirTemp("", "susc-benchdump-")
 	if err != nil {

@@ -344,6 +344,14 @@ func cmdServe(args []string) error {
 	return nil
 }
 
+// printCacheStats reports the memo-cache counters on stderr: hit rate,
+// resident entries and approximate bytes.
+func printCacheStats(cache *memo.Cache) {
+	st := cache.Stats()
+	fmt.Fprintf(os.Stderr, "stats: cache %d hits, %d misses (%.1f%% hit rate), %d entries, ~%d bytes\n",
+		st.Hits(), st.Misses(), st.HitRate()*100, st.Entries(), st.ApproxBytes)
+}
+
 // printStoreStats reports the disk-tier counters on stderr: the overall
 // line plus one line per record kind that saw traffic (CI keys on the
 // per-kind lines to gate incremental recompute fractions).
@@ -414,9 +422,7 @@ func cmdLint(path, src string, jsonOut bool, severity string, stats bool, cacheD
 		for _, a := range opts.Stats.Analyzers {
 			fmt.Fprintf(os.Stderr, "stats: lint %-14s %d finding(s) in %v\n", a.Name, a.Findings, a.Duration)
 		}
-		st := sess.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "stats: cache %d hits, %d misses (%.1f%% hit rate), %d entries, ~%d bytes\n",
-			st.Hits(), st.Misses(), st.HitRate()*100, st.Entries(), st.ApproxBytes)
+		printCacheStats(sess.Cache)
 		printStoreStats(true, sess.Disk)
 	}
 	if !jsonOut && len(diags) > 0 {
@@ -562,9 +568,7 @@ func cmdAudit(path, src string, jsonOut bool, severity string, stats, wdot, plan
 		for _, a := range opts.Stats.Analyzers {
 			fmt.Fprintf(os.Stderr, "stats: audit %-14s %d finding(s) in %v\n", a.Name, a.Findings, a.Duration)
 		}
-		st := sess.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "stats: cache %d hits, %d misses (%.1f%% hit rate), %d entries, ~%d bytes\n",
-			st.Hits(), st.Misses(), st.HitRate()*100, st.Entries(), st.ApproxBytes)
+		printCacheStats(sess.Cache)
 		printStoreStats(true, sess.Disk)
 	}
 	findings := 0
@@ -886,9 +890,7 @@ func cmdPlans(f *parser.File, name string, prune, jsonOut, stream, stats bool, w
 	// isolated worker panic (exit 2) outranks a budget cutoff or
 	// interruption (exit 3).
 	finalize := func(runErr error) error {
-		if err := printPlanStats(stats, sess.Cache, opts.Stats); err != nil {
-			return err
-		}
+		printPlanStats(stats, sess.Cache, opts.Stats)
 		printStoreStats(stats, sess.Disk)
 		if runErr != nil {
 			return runErr
@@ -956,20 +958,17 @@ func cmdPlans(f *parser.File, name string, prune, jsonOut, stream, stats bool, w
 
 // printPlanStats reports the memo-cache hit rate and the fused engine's
 // work counters on stderr (keeping stdout machine-readable under -json).
-func printPlanStats(enabled bool, cache *memo.Cache, fs *plans.FusedStats) error {
+func printPlanStats(enabled bool, cache *memo.Cache, fs *plans.FusedStats) {
 	if !enabled {
-		return nil
+		return
 	}
-	st := cache.Stats()
-	fmt.Fprintf(os.Stderr, "stats: cache %d hits, %d misses (%.1f%% hit rate), %d entries, ~%d bytes\n",
-		st.Hits(), st.Misses(), st.HitRate()*100, st.Entries(), st.ApproxBytes)
+	printCacheStats(cache)
 	if fs != nil {
 		fmt.Fprintf(os.Stderr,
 			"stats: fused %d plans assessed, %d states expanded, %d edges, %d replay states, %d memo hits, %d bindings pruned\n",
 			fs.PlansAssessed.Load(), fs.StatesExpanded.Load(), fs.EdgesBuilt.Load(),
 			fs.ReplayStates.Load(), fs.ReplayMemoHits.Load(), fs.BindingsPruned.Load())
 	}
-	return nil
 }
 
 func cmdCheck(f *parser.File, name string, jsonOut, stats bool, cacheDir string, bud *budget.Budget) error {
@@ -987,9 +986,7 @@ func cmdCheck(f *parser.File, name string, jsonOut, stats bool, cacheDir string,
 		return err
 	}
 	if stats {
-		st := sess.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "stats: cache %d hits, %d misses (%.1f%% hit rate), %d entries, ~%d bytes\n",
-			st.Hits(), st.Misses(), st.HitRate()*100, st.Entries(), st.ApproxBytes)
+		printCacheStats(sess.Cache)
 		printStoreStats(true, sess.Disk)
 	}
 	if jsonOut {
@@ -1053,9 +1050,7 @@ func cmdCheckAll(f *parser.File, src, capSpec string, jsonOut, stats bool, cache
 		return runErr
 	}
 	if stats {
-		st := sess.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "stats: cache %d hits, %d misses (%.1f%% hit rate), %d entries, ~%d bytes\n",
-			st.Hits(), st.Misses(), st.HitRate()*100, st.Entries(), st.ApproxBytes)
+		printCacheStats(sess.Cache)
 		printStoreStats(true, sess.Disk)
 	}
 	if jsonOut {

@@ -3,6 +3,7 @@ package plans_test
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,7 +12,10 @@ import (
 	"susc/internal/benchgen"
 	"susc/internal/budget"
 	"susc/internal/faultinject"
+	"susc/internal/hash"
+	"susc/internal/memo"
 	"susc/internal/plans"
+	"susc/internal/store"
 	"susc/internal/verify"
 )
 
@@ -19,28 +23,42 @@ import (
 // hook of the engines and asserts the isolation contract: the poisoned
 // unit surfaces as a typed *budget.InternalError carrying a repro key,
 // every sibling plan is still assessed with its true verdict, and the
-// process never crashes. Runs under -race in CI, so the parallel cases
-// also pin down the recovery paths' synchronisation.
+// process never crashes. With a store attached, the poisoned plan's
+// Unknown is not persisted, so a clean rerun recomputes exactly that plan.
+// Runs under -race in CI, so the parallel cases also pin down the recovery
+// paths' synchronisation.
 func TestFaultInjectionPanicIsolated(t *testing.T) {
 	w := benchgen.Chained(3, 2) // 8 plans, all valid
 	cases := []struct {
 		name   string
 		point  faultinject.Point
 		engine plans.Engine
+		store  bool
 	}{
-		{"legacy-worker", faultinject.PlansWorker, plans.EngineLegacy},
-		{"fused-worker", faultinject.PlansWorker, plans.EngineFused},
-		{"fused-expand", faultinject.FusedExpand, plans.EngineFused},
-		{"fused-replay", faultinject.FusedReplay, plans.EngineFused},
+		{"legacy-worker", faultinject.PlansWorker, plans.EngineLegacy, false},
+		{"fused-worker", faultinject.PlansWorker, plans.EngineFused, false},
+		{"fused-expand", faultinject.FusedExpand, plans.EngineFused, false},
+		{"fused-replay", faultinject.FusedReplay, plans.EngineFused, false},
+		{"fused-store", faultinject.PlansWorker, plans.EngineFused, true},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
 			t.Run(tc.name, func(t *testing.T) {
+				opts := plans.Options{Engine: tc.engine, PruneNonCompliant: true, Workers: workers}
+				var disk *store.Store
+				if tc.store {
+					var err error
+					disk, err = store.Open(filepath.Join(t.TempDir(), "susc.store"), hash.Fingerprint())
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer disk.Close()
+					opts.Cache = memo.New()
+					opts.Cache.AttachDisk(disk)
+				}
 				restore := faultinject.Set(faultinject.PanicOnce(tc.point, "", "injected fault"))
 				defer restore()
-				as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client, plans.Options{
-					Engine: tc.engine, PruneNonCompliant: true, Workers: workers,
-				})
+				as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client, opts)
 				var ie *budget.InternalError
 				if !errors.As(err, &ie) {
 					t.Fatalf("workers=%d: err = %v, want *budget.InternalError", workers, err)
@@ -72,8 +90,40 @@ func TestFaultInjectionPanicIsolated(t *testing.T) {
 					t.Fatalf("workers=%d: %d unknown verdicts, want exactly 1 (the poisoned unit)",
 						workers, unknown)
 				}
+				if tc.store {
+					checkPoisonedNotPersisted(t, disk, w)
+				}
 			})
 		}
+	}
+}
+
+// checkPoisonedNotPersisted asserts that disk holds every plan verdict
+// but the poisoned one, and that a clean rerun through a fresh cache over
+// the same store recomputes exactly that plan.
+func checkPoisonedNotPersisted(t *testing.T, disk *store.Store, w *benchgen.ChainedWorld) {
+	t.Helper()
+	before := disk.Stats().PerKind[store.KindPlanReport]
+	if before.Entries != uint64(w.PlanCount-1) {
+		t.Fatalf("store holds %d plan entries, want %d (the poisoned Unknown is never persisted)",
+			before.Entries, w.PlanCount-1)
+	}
+	cache := memo.New()
+	cache.AttachDisk(disk)
+	as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
+		plans.Options{PruneNonCompliant: true, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range as {
+		if a.Report.Verdict != verify.Valid {
+			t.Fatalf("clean rerun: plan %s is %s, want valid", a.Plan, a.Report.Verdict)
+		}
+	}
+	after := disk.Stats().PerKind[store.KindPlanReport]
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; misses != 1 || hits != uint64(w.PlanCount-1) {
+		t.Fatalf("clean rerun: %d plan hits, %d misses; want %d hits, exactly 1 miss",
+			hits, misses, w.PlanCount-1)
 	}
 }
 

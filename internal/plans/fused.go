@@ -353,8 +353,6 @@ func newFusedEngine(repo network.Repository, table *policy.Table,
 	for i, l := range eng.locations {
 		eng.locPendIdx[i] = toIdx(eng.locPending[l])
 	}
-	mon := history.NewMonitor(table)
-	eng.start = eng.node(eng.leaf(loc, eng.locIDs[loc], client), mon, eng.tab.Key(mon.Signature()))
 	return eng
 }
 
@@ -1162,14 +1160,19 @@ func (eng *fusedEngine) enumerate() ([]network.Plan, [][]int32, error) {
 // observes enumeration order, and is never called concurrently).
 //
 // With a persistent store attached to opts.Cache, the stream uses only
-// the compliance and LTS disk tiers (through the cache); per-plan report
-// persistence is the batch assessor's job — AssessAll probes and writes
-// the plan-report tier.
+// the compliance and LTS disk tiers (through the cache); it neither
+// probes nor writes the plan-report tier — only AssessAll does, since it
+// collects the whole family before returning.
 func AssessStream(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options,
 	yield func(Assessment) error) error {
 
-	return assessStream(repo, table, loc, client, opts, yield, nil)
+	eng := newFusedEngine(repo, table, loc, client, opts)
+	plans, vecs, err := eng.enumerate()
+	if err != nil {
+		return err
+	}
+	return eng.run(plans, vecs, yield)
 }
 
 // planKeys builds every enumerated plan's network.Plan.Key without
@@ -1218,23 +1221,20 @@ func (eng *fusedEngine) planKeys(vecs [][]int32) []string {
 	return keys
 }
 
-// assessStream is AssessStream with a side channel: when keys is non-nil
-// it receives the enumerated plans' Plan.Keys (planKeys), aligned with
-// the yield order — every enumerated plan is yielded exactly once, also
-// under budget exhaustion and isolated worker panics. AssessAll sorts on
-// them instead of rebuilding each key from its plan map.
-func assessStream(repo network.Repository, table *policy.Table,
-	loc hexpr.Location, client hexpr.Expr, opts Options,
-	yield func(Assessment) error, keys *[]string) error {
-
-	eng := newFusedEngine(repo, table, loc, client, opts)
-	plans, vecs, err := eng.enumerate()
-	if err != nil {
-		return err
+// run assesses the given plans (vecs[i] is plans[i]'s dense vector) over
+// the engine's shared graph and yields each assessment in the order of
+// plans. Every plan is yielded exactly once, also under budget exhaustion
+// and isolated worker panics; an internal error is returned after the
+// last yield. A non-nil error from yield stops the run and is returned.
+func (eng *fusedEngine) run(plans []network.Plan, vecs [][]int32, yield func(Assessment) error) error {
+	if len(plans) == 0 {
+		return nil
 	}
-	if keys != nil {
-		*keys = eng.planKeys(vecs)
-	}
+	// The graph's start node is built here, not at construction: a run
+	// with nothing to assess (every plan a store hit) then never allocates
+	// the node arena.
+	mon := history.NewMonitor(eng.table)
+	eng.start = eng.node(eng.leaf(eng.loc, eng.locIDs[eng.loc], eng.client), mon, eng.tab.Key(mon.Signature()))
 	// Presize the canonical-pair and node tables now that the workload
 	// scale is known: the explored graph grows with plans × requests, and
 	// letting the tables double their way up instead was a third of the
@@ -1249,7 +1249,7 @@ func assessStream(repo network.Repository, table *policy.Table,
 	if err := eng.computeCycleSkip(); err != nil {
 		return err
 	}
-	if opts.Workers > 1 && len(plans) > serialAssessThreshold {
+	if eng.opts.Workers > 1 && len(plans) > serialAssessThreshold {
 		if eng.cycleFree {
 			// Warm the shared graph with the sharded parallel frontier
 			// before the replay fleet starts; an acyclic union call graph

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"susc/internal/benchgen"
@@ -103,135 +104,102 @@ func TestIncrementalWarmStoreMatches(t *testing.T) {
 	}
 }
 
-// TestIncrementalConeEditRecomputesOnlyCone is the incremental headline:
-// after a one-declaration edit, the assessor recomputes exactly the plans
+// TestIncrementalEditRecomputesOnlyMisses is the incremental headline:
+// after a one-declaration edit, AssessAll recomputes exactly the plans
 // whose dependency cone contains the edited service — counted by store
 // misses AND by write-backs (each recomputed cone writes back once) — and
-// replays everything else.
-func TestIncrementalConeEditRecomputesOnlyCone(t *testing.T) {
-	const depth, fanout = 2, 4 // 16 plans; editing one leaf invalidates 4 = 1/4 → per-plan recompute path
-	w := benchgen.Chained(depth, fanout)
-	opts := plans.Options{PruneNonCompliant: true, Workers: 4}
+// replays everything else from the store, with output identical to a
+// storeless run of the edited repository. The rows cover a small and a
+// large miss fraction, sequential and with a worker fleet.
+func TestIncrementalEditRecomputesOnlyMisses(t *testing.T) {
+	cases := []struct {
+		name          string
+		depth, fanout int
+		workers       int
+		target        hexpr.Location
+	}{
+		// 16 plans; editing one leaf invalidates the 4 binding r2 → s2_3.
+		{"quarter", 2, 4, 4, "s2_3"},
+		// 4 plans; editing one leaf invalidates the 2 binding r2 → s2_1.
+		{"half", 2, 2, 0, "s2_1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := benchgen.Chained(tc.depth, tc.fanout)
+			opts := plans.Options{PruneNonCompliant: true, Workers: tc.workers}
 
-	path := filepath.Join(t.TempDir(), "susc.store")
-	s1, err := store.Open(path, hash.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := memo.New()
-	cold.AttachDisk(s1)
-	coldAs, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
-		plans.Options{PruneNonCompliant: true, Workers: 4, Cache: cold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(coldAs) != w.PlanCount {
-		t.Fatalf("cold: %d plans, want %d", len(coldAs), w.PlanCount)
-	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
+			path := filepath.Join(t.TempDir(), "susc.store")
+			s1, err := store.Open(path, hash.Fingerprint())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold := memo.New()
+			cold.AttachDisk(s1)
+			coldOpts := opts
+			coldOpts.Cache = cold
+			coldAs, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client, coldOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(coldAs) != w.PlanCount {
+				t.Fatalf("cold: %d plans, want %d", len(coldAs), w.PlanCount)
+			}
+			if err := s1.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// The edit: an extra internal event at the head of leaf service s2_3.
-	// Communication behaviour is unchanged, so every verdict stays Valid —
-	// only the cones move.
-	edited := network.Repository{}
-	for l, e := range w.Repo {
-		edited[l] = e
-	}
-	target := hexpr.Location("s2_3")
-	edited[target] = hexpr.Cat(hexpr.Act(hexpr.E("tweak")), w.Repo[target])
+			// The edit: an extra internal event at the head of a leaf
+			// service. Communication behaviour is unchanged, so every
+			// verdict stays Valid — only the cones move.
+			edited := network.Repository{}
+			for l, e := range w.Repo {
+				edited[l] = e
+			}
+			edited[tc.target] = hexpr.Cat(hexpr.Act(hexpr.E("tweak")), w.Repo[tc.target])
 
-	baseline, err := plans.AssessAll(edited, w.Table, w.Loc, w.Client, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+			baseline, err := plans.AssessAll(edited, w.Table, w.Loc, w.Client, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	s2, err := store.Open(path, hash.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	warm := memo.New()
-	warm.AttachDisk(s2)
-	got, err := plans.AssessAll(edited, w.Table, w.Loc, w.Client,
-		plans.Options{PruneNonCompliant: true, Workers: 4, Cache: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameAssessments(t, "after edit", got, baseline)
+			s2, err := store.Open(path, hash.Fingerprint())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			warm := memo.New()
+			warm.AttachDisk(s2)
+			warmOpts := opts
+			warmOpts.Cache = warm
+			got, err := plans.AssessAll(edited, w.Table, w.Loc, w.Client, warmOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameAssessments(t, "after edit", got, baseline)
 
-	st := s2.Stats().PerKind[store.KindPlanReport]
-	wantMisses := uint64(w.PlanCount / fanout) // plans binding r2 → s2_3
-	if st.Misses != wantMisses {
-		t.Fatalf("edit invalidated %d plans, want exactly %d (the cone of %s)",
-			st.Misses, wantMisses, target)
-	}
-	if st.Hits != uint64(w.PlanCount)-wantMisses {
-		t.Fatalf("replayed %d plans, want %d", st.Hits, uint64(w.PlanCount)-wantMisses)
-	}
-	if st.Writebacks != wantMisses {
-		t.Fatalf("recomputed (wrote back) %d plans, want exactly %d", st.Writebacks, wantMisses)
-	}
-}
-
-// TestIncrementalLargeEditFallsBackToFused: when an edit invalidates more
-// than a quarter of the plan space, the assessor switches to the shared-
-// graph engine — results stay identical, and exactly the misses are
-// written back.
-func TestIncrementalLargeEditFallsBackToFused(t *testing.T) {
-	const depth, fanout = 2, 2 // 4 plans; editing s2_1 invalidates 2 > 1/4
-	w := benchgen.Chained(depth, fanout)
-
-	path := filepath.Join(t.TempDir(), "susc.store")
-	s1, err := store.Open(path, hash.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := memo.New()
-	cold.AttachDisk(s1)
-	if _, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
-		plans.Options{PruneNonCompliant: true, Cache: cold}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	edited := network.Repository{}
-	for l, e := range w.Repo {
-		edited[l] = e
-	}
-	edited["s2_1"] = hexpr.Cat(hexpr.Act(hexpr.E("tweak")), w.Repo["s2_1"])
-	baseline, err := plans.AssessAll(edited, w.Table, w.Loc, w.Client,
-		plans.Options{PruneNonCompliant: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := store.Open(path, hash.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	warm := memo.New()
-	warm.AttachDisk(s2)
-	got, err := plans.AssessAll(edited, w.Table, w.Loc, w.Client,
-		plans.Options{PruneNonCompliant: true, Cache: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameAssessments(t, "large edit", got, baseline)
-	st := s2.Stats().PerKind[store.KindPlanReport]
-	if st.Misses != 2 || st.Writebacks != 2 {
-		t.Fatalf("misses=%d writebacks=%d, want 2 and 2", st.Misses, st.Writebacks)
+			st := s2.Stats().PerKind[store.KindPlanReport]
+			wantMisses := uint64(w.PlanCount / tc.fanout) // plans binding the edited leaf
+			if st.Misses != wantMisses {
+				t.Fatalf("edit invalidated %d plans, want exactly %d (the cone of %s)",
+					st.Misses, wantMisses, tc.target)
+			}
+			if st.Hits != uint64(w.PlanCount)-wantMisses {
+				t.Fatalf("replayed %d plans, want %d", st.Hits, uint64(w.PlanCount)-wantMisses)
+			}
+			if st.Writebacks != wantMisses {
+				t.Fatalf("recomputed (wrote back) %d plans, want exactly %d", st.Writebacks, wantMisses)
+			}
+		})
 	}
 }
 
 // TestEngineParityWithStore is the acceptance gate: both engines
 // produce byte-identical rendered verdicts with the store disabled,
-// enabled-cold and enabled-warm. The paper world exercises every verdict
-// class (valid, non-compliant, security violation).
+// enabled-cold, enabled-warm and after an edit. The paper world exercises
+// every verdict class (valid, non-compliant, security violation); the edit
+// raises hotel s4's rating to 100, which turns the plan r3 → s4 from a
+// security violation into a valid plan, so the edited phase replays the
+// hits and recomputes misses of more than one verdict class.
 func TestEngineParityWithStore(t *testing.T) {
 	repo := paperex.Repository()
 	table := paperex.Policies()
@@ -243,6 +211,25 @@ func TestEngineParityWithStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := render(t, baseline)
+
+	edited := paperex.Repository()
+	edited[paperex.LocS4] = hexpr.Cat(
+		hexpr.Act(hexpr.E(paperex.EvSgn, hexpr.Sym("s4"))),
+		hexpr.Act(hexpr.E(paperex.EvPrice, hexpr.Int(50))),
+		hexpr.Act(hexpr.E(paperex.EvRating, hexpr.Int(100))),
+		hexpr.RecvThen("IdC", hexpr.IntCh(
+			hexpr.B(hexpr.Out("Bok"), hexpr.Eps()),
+			hexpr.B(hexpr.Out("UnA"), hexpr.Eps()))),
+	)
+	editedBaseline, err := plans.AssessAll(edited, table, loc, client,
+		plans.Options{PruneNonCompliant: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEdited := render(t, editedBaseline)
+	if slices.Equal(want, wantEdited) {
+		t.Fatal("the edit changed no verdict; the edited phase would test nothing")
+	}
 
 	engines := []struct {
 		name string
@@ -260,20 +247,39 @@ func TestEngineParityWithStore(t *testing.T) {
 		}
 		compareRendered(t, eng.name+"/disabled", render(t, as), want)
 
-		// Enabled-cold and enabled-warm share one store.
+		// Enabled-cold, enabled-warm and edited share one store.
 		s, err := store.Open(filepath.Join(t.TempDir(), "susc.store"), hash.Fingerprint())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, phase := range []string{"cold", "warm"} {
+		phases := []struct {
+			name string
+			repo network.Repository
+			want []string
+		}{
+			{"cold", repo, want},
+			{"warm", repo, want},
+			{"edited", edited, wantEdited},
+		}
+		for _, ph := range phases {
+			before := s.Stats().PerKind[store.KindPlanReport]
 			cache := memo.New()
 			cache.AttachDisk(s)
-			as, err := plans.AssessAll(repo, table, loc, client,
+			as, err := plans.AssessAll(ph.repo, table, loc, client,
 				plans.Options{Engine: eng.e, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareRendered(t, eng.name+"/"+phase, render(t, as), want)
+			compareRendered(t, eng.name+"/"+ph.name, render(t, as), ph.want)
+			if ph.name != "edited" {
+				continue
+			}
+			after := s.Stats().PerKind[store.KindPlanReport]
+			hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
+			if hits == 0 || misses == 0 || hits+misses != uint64(len(as)) {
+				t.Errorf("%s/edited: %d plan hits, %d misses over %d plans; want both replayed and recomputed plans",
+					eng.name, hits, misses, len(as))
+			}
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)

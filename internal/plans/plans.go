@@ -15,10 +15,12 @@ import (
 
 	"susc/internal/budget"
 	"susc/internal/faultinject"
+	"susc/internal/hash"
 	"susc/internal/hexpr"
 	"susc/internal/memo"
 	"susc/internal/network"
 	"susc/internal/policy"
+	"susc/internal/store"
 	"susc/internal/verify"
 )
 
@@ -82,45 +84,82 @@ func (a Assessment) String() string {
 // each, returning the assessments in deterministic order (lexicographic in
 // the plan keys). The work runs on the engine opts.Engine selects; the
 // result does not depend on the choice.
+//
+// With a persistent store attached to opts.Cache (and MemoryTierOnly
+// unset), the fused engine probes the store for every plan's cone hash
+// and decodes the hits; only the misses are replayed, and their decided
+// verdicts are written back. On an unchanged repository every probe hits
+// and no plan is explored; after an edit, the misses are exactly the
+// plans whose dependency cone contains the edited declaration. Unknown
+// verdicts describe this run's limits, not the cone, and are never
+// persisted.
 func AssessAll(repo network.Repository, table *policy.Table,
 	loc hexpr.Location, client hexpr.Expr, opts Options) ([]Assessment, error) {
 
 	if opts.Engine == EngineLegacy {
 		// The legacy engine validates plans through CheckPlanOpts, which
 		// carries its own persistent tier when the cache has a store
-		// attached — no separate incremental dispatch needed.
+		// attached.
 		return assessAllLegacy(repo, table, loc, client, opts)
 	}
-	if opts.Cache != nil && opts.Cache.Disk() != nil && !opts.MemoryTierOnly {
-		return assessAllIncremental(repo, table, loc, client, opts)
+	eng := newFusedEngine(repo, table, loc, client, opts)
+	complete, vecs, err := eng.enumerate()
+	if err != nil {
+		return nil, err
 	}
-	return assessAllFused(repo, table, loc, client, opts)
-}
-
-// assessAllFused runs the default shared-graph engine and collects the
-// stream into deterministically ordered assessments.
-func assessAllFused(repo network.Repository, table *policy.Table,
-	loc hexpr.Location, client hexpr.Expr, opts Options) ([]Assessment, error) {
-
-	var out []Assessment
-	var keys []string
-	err := assessStream(repo, table, loc, client, opts, func(a Assessment) error {
-		out = append(out, a)
-		return nil
-	}, &keys)
+	out := make([]Assessment, len(complete))
+	var disk *store.Store
+	if !opts.MemoryTierOnly {
+		disk = eng.cache.Disk()
+	}
+	// Without a store every plan is a miss. With one, probe the store once
+	// per plan: plan assessment is capacity-free (capacities are a
+	// whole-network concern), so the cone key carries no capacity
+	// component. missIdx maps the misses back to their positions in
+	// complete; nil stands for all of them, in order.
+	missIdx, missPlans, missVecs := []int(nil), complete, vecs
+	var sums []hash.Sum
+	if disk != nil {
+		sums = make([]hash.Sum, len(complete))
+		missPlans, missVecs = nil, nil
+		for i, plan := range complete {
+			sum, err := verify.PlanKey(repo, table, loc, client, plan, nil)
+			if err != nil {
+				return nil, err
+			}
+			sums[i] = sum
+			if raw, ok := disk.Get(store.KindPlanReport, sum); ok {
+				if r, derr := verify.DecodeReport(raw); derr == nil {
+					out[i] = Assessment{Plan: plan, Report: r}
+					continue
+				}
+			}
+			missIdx = append(missIdx, i)
+			missPlans = append(missPlans, plan)
+			missVecs = append(missVecs, vecs[i])
+		}
+	}
+	next := 0
+	err = eng.run(missPlans, missVecs, func(a Assessment) error {
+		i := next
+		if missIdx != nil {
+			i = missIdx[next]
+		}
+		next++
+		out[i] = a
+		if disk == nil || a.Report.Verdict == verify.Unknown {
+			return nil
+		}
+		enc, err := verify.EncodeReport(a.Report)
+		if err != nil {
+			return err
+		}
+		return disk.Put(store.KindPlanReport, sums[i], enc)
+	})
 	if err != nil && !errors.As(err, new(*budget.InternalError)) {
 		return nil, err
 	}
-	if len(keys) != len(out) {
-		// Defensive only: the stream yields one assessment per enumerated
-		// plan on every surviving path, so the precomputed keys align with
-		// out. Rebuild from the plan maps if that ever stops holding.
-		keys = make([]string, len(out))
-		for i := range out {
-			keys[i] = out[i].Plan.Key()
-		}
-	}
-	sort.Sort(&byKey{keys: keys, out: out})
+	sort.Sort(&byKey{keys: eng.planKeys(vecs), out: out})
 	// An internal error (isolated worker panic) is returned alongside the
 	// assessments: the poisoned plan is Unknown, the rest are intact.
 	return out, err
@@ -141,12 +180,8 @@ func assessAllLegacy(repo network.Repository, table *policy.Table,
 	}
 	vopts := verify.Options{Cache: cache, Budget: opts.Budget,
 		SkipDiskProbe: opts.MemoryTierOnly}
-	all := make([]int, len(complete))
-	for i := range all {
-		all[i] = i
-	}
 	out := make([]Assessment, len(complete))
-	firstInternal, err := assessEach(complete, all, opts.Workers, out,
+	firstInternal, err := assessEach(complete, opts.Workers, out,
 		func(i int, key string) (*verify.Report, error) {
 			if faultinject.Enabled() {
 				faultinject.Fire(faultinject.PlansWorker, key)
@@ -169,14 +204,14 @@ func assessAllLegacy(repo network.Repository, table *policy.Table,
 	return out, nil
 }
 
-// assessEach validates complete[i] for every i in idx with check,
-// writing out[i], on a fleet of workers goroutines (sequentially below two
-// workers or two plans). check runs inside a panic guard: a panic becomes
-// a typed *budget.InternalError carrying the plan key as a repro bundle,
-// that plan's verdict degrades to Unknown, and the rest of the fleet
-// finishes undisturbed; the first such error is returned. Any other error
-// aborts the call and is returned as the second result.
-func assessEach(complete []network.Plan, idx []int, workers int, out []Assessment,
+// assessEach validates every complete[i] with check, writing out[i], on a
+// fleet of workers goroutines (sequentially below two workers or two
+// plans). check runs inside a panic guard: a panic becomes a typed
+// *budget.InternalError carrying the plan key as a repro bundle, that
+// plan's verdict degrades to Unknown, and the rest of the fleet finishes
+// undisturbed; the first such error is returned. Any other error aborts
+// the call and is returned as the second result.
+func assessEach(complete []network.Plan, workers int, out []Assessment,
 	check func(i int, key string) (*verify.Report, error)) (*budget.InternalError, error) {
 
 	guarded := func(i int) (Assessment, error) {
@@ -200,8 +235,8 @@ func assessEach(complete []network.Plan, idx []int, workers int, out []Assessmen
 	}
 
 	var firstInternal *budget.InternalError
-	if workers <= 1 || len(idx) <= 1 {
-		for _, i := range idx {
+	if workers <= 1 || len(complete) <= 1 {
+		for i := range complete {
 			a, err := guarded(i)
 			if err != nil {
 				var ie *budget.InternalError
@@ -245,7 +280,7 @@ func assessEach(complete []network.Plan, idx []int, workers int, out []Assessmen
 			}
 		}()
 	}
-	for _, i := range idx {
+	for i := range complete {
 		jobs <- i
 	}
 	close(jobs)

@@ -33,10 +33,10 @@ import (
 // Publishing never blocks — the inboxes are unbounded rings, not bounded
 // channels — so shards cannot deadlock on each other's hand-off.
 
-// serialAssessThreshold is the work size below which AssessStream ignores
-// Options.Workers and runs sequentially: spawning a worker fleet, the
-// reorder buffer and the per-worker replayers cost more than assessing a
-// few dozen plans outright (the BENCH_pr2 Hotels(32) regression, where
+// serialAssessThreshold is the work size below which the fused engine
+// ignores Options.Workers and runs sequentially: spawning a worker fleet,
+// the reorder buffer and the per-worker replayers cost more than assessing
+// a few dozen plans outright (the BENCH_pr2 Hotels(32) regression, where
 // workers=4 was slower than workers=1). Plan count is the proxy for work
 // size: past ~64 plans the shared graph is large enough that the fleet
 // amortises its setup.

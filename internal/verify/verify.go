@@ -170,10 +170,11 @@ type Options struct {
 	// decided before the cutoff stand.
 	Budget *budget.Budget
 	// SkipDiskProbe disables the persistent-report tier for this call even
-	// when the cache has a store attached. Callers that already probed the
-	// store themselves (the incremental plan assessor pre-probes every
-	// candidate) set it so a recompute is not double-counted as a second
-	// miss — the compliance and LTS tiers underneath stay active.
+	// when the cache has a store attached: the report is neither probed nor
+	// written back, while the compliance and LTS tiers underneath stay
+	// active. The store-backed check sets it on its own recompute, which it
+	// already counted as a miss, and the legacy plan engine sets it under
+	// plans.Options.MemoryTierOnly to keep sweep verdicts off the disk.
 	SkipDiskProbe bool
 }
 
