@@ -260,11 +260,9 @@ func BenchmarkPlanSynthesisChained(b *testing.B) {
 		for _, engine := range []struct {
 			name string
 			e    plans.Engine
-			wk   int
 		}{
-			{"legacy", plans.EngineLegacy, 1},
-			{"fused", plans.EngineFused, 1},
-			{"fused-workers=4", plans.EngineFused, 4},
+			{"legacy", plans.EngineLegacy},
+			{"fused", plans.EngineFused},
 		} {
 			name := fmt.Sprintf("depth=%d/fanout=%d/%s", cfg.depth, cfg.fanout, engine.name)
 			b.Run(name, func(b *testing.B) {
@@ -274,7 +272,6 @@ func BenchmarkPlanSynthesisChained(b *testing.B) {
 						plans.Options{
 							PruneNonCompliant: true,
 							Engine:            engine.e,
-							Workers:           engine.wk,
 						})
 					if err != nil {
 						b.Fatal(err)
@@ -545,25 +542,6 @@ branch { IdC => select { Bok => () | UnA => () } }`)
 	}
 }
 
-func BenchmarkPlanSynthesisParallel(b *testing.B) {
-	w := benchgen.Hotels(32)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
-					plans.Options{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(as) == 0 {
-					b.Fatal("no plans")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkPlanSynthesisCached measures repeated synthesis over an
 // unchanged repository with a shared memo.Cache — the steady-state cost a
 // long-lived tool pays per query once verdicts, products, projections and
@@ -577,7 +555,7 @@ func BenchmarkPlanSynthesisCached(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
-					plans.Options{PruneNonCompliant: true, Workers: 4, Cache: cache})
+					plans.Options{PruneNonCompliant: true, Cache: cache})
 				if err != nil {
 					b.Fatal(err)
 				}

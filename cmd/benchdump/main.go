@@ -202,12 +202,12 @@ func main() {
 	}
 
 	w := benchgen.Hotels(*hotels)
-	run := func(workers int, cache *memo.Cache) testing.BenchmarkResult {
+	run := func(cache *memo.Cache) testing.BenchmarkResult {
 		return testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
-					plans.Options{PruneNonCompliant: true, Workers: workers, Cache: cache})
+					plans.Options{PruneNonCompliant: true, Cache: cache})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -219,15 +219,12 @@ func main() {
 	}
 
 	doc := document{GoVersion: runtime.Version(), GoArch: runtime.GOARCH, Hotels: *hotels}
-	for _, workers := range []int{1, 4} {
-		r := run(workers, nil)
-		doc.Results = append(doc.Results, toResult(
-			fmt.Sprintf("PlanSynthesisParallel/workers=%d", workers), r, 0))
-	}
+	// The "/workers=N" suffixes are historical (plan assessment is
+	// single-threaded); the names stay so the BENCH_*.json series line up.
+	doc.Results = append(doc.Results, toResult("PlanSynthesisParallel/workers=1", run(nil), 0))
 	cache := memo.New()
-	r := run(4, cache)
-	doc.Results = append(doc.Results, toResult(
-		fmt.Sprintf("PlanSynthesisCached/workers=%d", 4), r, cache.Stats().HitRate()))
+	r := run(cache)
+	doc.Results = append(doc.Results, toResult("PlanSynthesisCached/workers=4", r, cache.Stats().HitRate()))
 
 	if *depth > 0 {
 		doc.Chained = runChained(*depth, *fanout, &doc)

@@ -59,7 +59,7 @@
 // exploration and still prints the partial results. Verdicts decided
 // before the cutoff stand; the rest degrade to "unknown". Exit codes
 // distinguish the outcomes: 0 success, 1 findings (invalid plan, lint
-// errors), 2 internal error (an isolated worker panic), 3 budget
+// errors), 2 internal error (an isolated panic), 3 budget
 // exhausted or interrupted.
 package main
 
@@ -73,7 +73,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"syscall"
@@ -105,7 +104,7 @@ func main() {
 }
 
 // exitCode maps an error to the CLI's exit-code protocol: 2 for an
-// internal error (an isolated worker panic — the message carries the
+// internal error (an isolated panic — the message carries the
 // repro unit), 3 for a budget cutoff (state/edge limit, -timeout,
 // SIGINT/SIGTERM), 1 for ordinary findings and failures. Internal errors
 // outrank budget cutoffs, which outrank findings. The translation lives
@@ -160,8 +159,6 @@ func run(args []string) error {
 	witnessDot := fs.Bool("wdot", false,
 		"explain: render each witness as a Graphviz digraph instead of text")
 	runAll := fs.Bool("all", false, "run: simulate all declared clients concurrently")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
-		"plans/effect: validate candidate plans with this many goroutines")
 	timeout := fs.Duration("timeout", 0,
 		"plans/check/checkall/lint/explain: wall-clock budget (0 = none)")
 	maxStates := fs.Int64("max-states", 0,
@@ -195,7 +192,7 @@ func run(args []string) error {
 		return err
 	}
 	if cmd == "effect" {
-		return cmdEffect(string(src), *decls, *workers)
+		return cmdEffect(string(src), *decls)
 	}
 	if cmd == "lint" {
 		// lint parses leniently itself, so one run can report several
@@ -231,7 +228,7 @@ func run(args []string) error {
 	case "validity":
 		return cmdValidity(f)
 	case "plans":
-		return cmdPlans(f, *clientName, *prune, *jsonOut, *stream, *stats, *workers, *cacheDir, bud)
+		return cmdPlans(f, *clientName, *prune, *jsonOut, *stream, *stats, *cacheDir, bud)
 	case "check":
 		return cmdCheck(f, *clientName, *jsonOut, *stats, *cacheDir, bud)
 	case "checkall":
@@ -653,7 +650,7 @@ func cmdDual(f *parser.File, of string) error {
 // cmdEffect infers the type and effect of a λ-program; with a declarations
 // file, policy aliases resolve and the program's plans are classified
 // against the declared repository.
-func cmdEffect(src, declsPath string, workers int) error {
+func cmdEffect(src, declsPath string) error {
 	var aliases map[string]hexpr.PolicyID
 	var f *parser.File
 	if declsPath != "" {
@@ -685,7 +682,7 @@ func cmdEffect(src, declsPath string, workers int) error {
 		return nil
 	}
 	fmt.Println("plans  :")
-	as, err := plans.AssessAll(f.Repo, f.Table, "program", eff, plans.Options{Workers: workers})
+	as, err := plans.AssessAll(f.Repo, f.Table, "program", eff, plans.Options{})
 	if err != nil {
 		return err
 	}
@@ -868,7 +865,7 @@ func cmdValidity(f *parser.File) error {
 	return nil
 }
 
-func cmdPlans(f *parser.File, name string, prune, jsonOut, stream, stats bool, workers int, cacheDir string, bud *budget.Budget) error {
+func cmdPlans(f *parser.File, name string, prune, jsonOut, stream, stats bool, cacheDir string, bud *budget.Budget) error {
 	c, err := client(f, name)
 	if err != nil {
 		return err
@@ -880,14 +877,13 @@ func cmdPlans(f *parser.File, name string, prune, jsonOut, stream, stats bool, w
 	defer sess.Close()
 	opts := plans.Options{
 		PruneNonCompliant: prune,
-		Workers:           workers,
 		Budget:            bud,
 	}
 	if stats {
 		opts.Stats = &plans.FusedStats{}
 	}
 	// finalize closes the run once all partial results are printed: an
-	// isolated worker panic (exit 2) outranks a budget cutoff or
+	// isolated per-plan panic (exit 2) outranks a budget cutoff or
 	// interruption (exit 3).
 	finalize := func(runErr error) error {
 		printPlanStats(stats, sess.Cache, opts.Stats)

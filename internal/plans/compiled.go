@@ -1,7 +1,7 @@
 package plans
 
 import (
-	"sync/atomic"
+	"math/bits"
 
 	"susc/internal/hexpr"
 	"susc/internal/history"
@@ -23,26 +23,25 @@ import (
 // The struct is kept lean on purpose: pairs dominate the population by
 // orders of magnitude (one per distinct subtree of the explored
 // configuration space), so the leaf payload lives behind one pointer that
-// pairs leave nil, and pairs themselves are bump-allocated in blocks under
-// the intern lock (they are engine-lifetime, so individual GC tracking
-// buys nothing).
+// pairs leave nil, and pairs themselves are bump-allocated in blocks
+// (they are engine-lifetime, so individual GC tracking buys nothing).
 //
 // Canonical ctrees also carry their compiled move row (treeRowFor): the
 // row pointer is filled once and every later expansion of any state
-// containing the subtree reuses it lock-free.
+// containing the subtree reuses it.
 type ctree struct {
 	id          intern.ID // engine-local ID: odd for leaves, even for pairs
 	left, right *ctree    // nil for leaves
 	lp          *leafPayload
-	row         atomic.Pointer[leafRow]
+	row         *leafRow
 	// nd is a one-entry cache of the graph node last interned for this
 	// tree: worlds have few distinct monitor signatures (often one), so
 	// almost every node lookup is answered here without touching the node
 	// map. The map stays the source of truth; the cache only ever holds a
-	// node the map already published. (A two-way cache was tried and
-	// bought nothing: signatures rarely alternate on one tree, and the
-	// extra word per ctree just grew the scanned heap.)
-	nd atomic.Pointer[fnode]
+	// node the map already holds. (A two-way cache was tried and bought
+	// nothing: signatures rarely alternate on one tree, and the extra word
+	// per ctree just grew the scanned heap.)
+	nd *fnode
 }
 
 // leafPayload is the located process of a leaf ctree (left == nil). steps
@@ -73,8 +72,7 @@ func (t *ctree) treeKey() string {
 // beats the generic map twice over: probes are a multiplicative hash plus
 // a linear scan of a bare []uint64 (no control bytes, no interface
 // hashing), and the backing arrays are pointer-free, so the garbage
-// collector never scans the tables at all. Callers provide their own
-// locking (the tables live behind the engine's pairMu/nodeMu).
+// collector never scans the tables at all.
 type u64map struct {
 	slots []u64slot
 	n     int
@@ -120,18 +118,7 @@ func (m *u64map) get(k uint64) (int32, bool) {
 // each probe a likely cache miss on the million-entry tables).
 func (m *u64map) put(k uint64, v int32) {
 	if m.n*2 >= len(m.slots) {
-		size := 1 << 13
-		if len(m.slots) > 0 {
-			size = len(m.slots) * 2
-		}
-		old := m.slots
-		m.slots = make([]u64slot, size)
-		m.n = 0
-		for _, s := range old {
-			if s.key != 0 {
-				m.put(s.key, s.val)
-			}
-		}
+		m.reserve(m.n + 1)
 	}
 	mask := uint64(len(m.slots) - 1)
 	i := hash64(k) & mask
@@ -143,8 +130,8 @@ func (m *u64map) put(k uint64, v int32) {
 }
 
 // getOrSlot looks k up like get; on a miss it also returns the empty slot
-// its probe ended on, so a caller holding the table still (same lock, no
-// intervening insert or growth) can complete the insert with putAt instead
+// its probe ended on, so a caller with no intervening insert or growth
+// can complete the insert with putAt instead
 // of re-walking the probe chain — on million-entry tables each walk is a
 // cache miss, and every interning is a miss-then-insert. slot is -1 when
 // the table has no backing array yet.
@@ -175,17 +162,15 @@ func (m *u64map) putAt(slot int, k uint64, v int32) {
 	m.n++
 }
 
-// reserve grows the table so about n insertions fit without further
-// rehashing (a no-op when the table is already big enough). Callers with a
-// workload-size estimate use it to skip the doubling ladder: growing a
-// table through a dozen doublings allocates and clears more slot memory
-// than the final table holds, and re-inserts every entry at each step —
-// measured at a third of the engine's allocated bytes on large workloads.
+// reserve grows the table to the power of two holding n entries at half
+// load (a no-op when the table is already big enough); put calls it to
+// double a full table. Callers with a workload-size estimate use it to
+// skip the doubling ladder: growing a table through a dozen doublings
+// allocates and clears more slot memory than the final table holds, and
+// re-inserts every entry at each step — measured at a third of the
+// engine's allocated bytes on large workloads.
 func (m *u64map) reserve(n int) {
-	size := 1 << 13
-	for size < n*2 {
-		size *= 2
-	}
+	size := 1 << bits.Len(uint(2*n-1))
 	if size <= len(m.slots) {
 		return
 	}
@@ -199,31 +184,63 @@ func (m *u64map) reserve(n int) {
 	}
 }
 
-// carena bump-allocates pair ctrees in 4096-entry blocks, addressable by
-// dense index (the value stored in the pair table). All allocation happens
-// under the owning structure's write lock (pairFor), so no further
-// synchronisation is needed; reads of at() happen under at least the read
-// lock, after the entry was published.
-type carena struct {
-	blocks [][]ctree
+// arena bump-allocates engine-lifetime values in blocks, addressable by
+// dense index (the value the u64map tables store). Entries never move: a
+// full block is never grown, the next block is allocated beside it, so
+// every pointer the engine holds into the arena stays valid. The first
+// block holds 1<<shift entries, sized from the workload estimate (size);
+// block b ≥ 1 holds 1<<(shift+b-1) entries — as many as all the blocks
+// before it — until blocks reach maxArenaBlock entries, and later blocks
+// stay that size.
+type arena[T any] struct {
+	blocks [][]T
+	shift  int
 	n      int32
 }
 
-const arenaShift = 12 // 4096-entry blocks
+const (
+	minArenaShift = 4
+	maxArenaShift = 12
+	maxArenaBlock = 1 << maxArenaShift
+)
 
-func (a *carena) alloc(id intern.ID, l, r *ctree) (*ctree, int32) {
-	if a.n>>arenaShift == int32(len(a.blocks)) {
-		a.blocks = append(a.blocks, make([]ctree, 0, 1<<arenaShift))
+// size sets the first block to hold about n entries, rounded up to a
+// power of two within [1<<minArenaShift, maxArenaBlock]. It must precede
+// the first alloc.
+func (a *arena[T]) size(n int) {
+	a.shift = min(max(bits.Len(uint(n-1)), minArenaShift), maxArenaShift)
+}
+
+// alloc returns a pointer to a fresh zero entry and its index.
+func (a *arena[T]) alloc() (*T, int32) {
+	nb := len(a.blocks)
+	if nb == 0 || len(a.blocks[nb-1]) == cap(a.blocks[nb-1]) {
+		sh := a.shift
+		if nb > 0 {
+			sh = min(a.shift+nb-1, maxArenaShift)
+		}
+		a.blocks = append(a.blocks, make([]T, 0, 1<<sh))
+		nb++
 	}
-	b := &a.blocks[len(a.blocks)-1]
-	*b = append(*b, ctree{id: id, left: l, right: r})
+	b := &a.blocks[nb-1]
+	var zero T
+	*b = append(*b, zero) // within capacity: never relocates the block
 	i := a.n
 	a.n++
 	return &(*b)[len(*b)-1], i
 }
 
-func (a *carena) at(i int32) *ctree {
-	return &a.blocks[i>>arenaShift][i&(1<<arenaShift-1)]
+func (a *arena[T]) at(i int32) *T {
+	if i >= maxArenaBlock {
+		// maxArenaShift-shift+1 blocks cover [0, maxArenaBlock); full-size
+		// blocks follow.
+		return &a.blocks[maxArenaShift-a.shift+int(i>>maxArenaShift)][i&(maxArenaBlock-1)]
+	}
+	b := bits.Len32(uint32(i) >> a.shift)
+	if b == 0 {
+		return &a.blocks[0][i]
+	}
+	return &a.blocks[b][i-1<<(a.shift+b-1)]
 }
 
 // leaf interns the canonical ctree of the located process (loc, e), keyed
@@ -233,31 +250,12 @@ func (a *carena) at(i int32) *ctree {
 // on the engine-local ID.
 func (eng *fusedEngine) leaf(loc hexpr.Location, locID intern.ID, e hexpr.Expr) *ctree {
 	k := intern.Pack(locID, eng.tab.Expr(e))
-	if eng.concurrent {
-		eng.leafMu.RLock()
-		t := eng.leaves[k]
-		eng.leafMu.RUnlock()
-		if t != nil {
-			return t
-		}
-		nt := &ctree{lp: &leafPayload{loc: loc, locID: locID, expr: e, steps: eng.cache.Steps(e)}}
-		eng.leafMu.Lock()
-		if ex := eng.leaves[k]; ex != nil {
-			nt = ex
-		} else {
-			eng.leafID++
-			nt.id = intern.ID(2*eng.leafID - 1) // odd IDs (pairs take the even ones)
-			eng.leaves[k] = nt
-		}
-		eng.leafMu.Unlock()
-		return nt
-	}
 	if t := eng.leaves[k]; t != nil {
 		return t
 	}
 	eng.leafID++
 	nt := &ctree{
-		id: intern.ID(2*eng.leafID - 1),
+		id: intern.ID(2*eng.leafID - 1), // odd IDs (pairs take the even ones)
 		lp: &leafPayload{loc: loc, locID: locID, expr: e, steps: eng.cache.Steps(e)},
 	}
 	eng.leaves[k] = nt
@@ -267,38 +265,17 @@ func (eng *fusedEngine) leaf(loc hexpr.Location, locID intern.ID, e hexpr.Expr) 
 // pairFor interns the canonical pair ctree [l , r], keyed on the children's
 // IDs. The children are canonical by construction (spines are rebuilt
 // bottom-up from canonical leaves), so the key identifies the whole
-// subtree. This is the innermost expansion hot path — one read-locked
-// uint64 map hit per lifted move in the steady state.
+// subtree. This is the innermost expansion hot path — one uint64 map hit
+// per lifted move in the steady state.
 func (eng *fusedEngine) pairFor(l, r *ctree) *ctree {
 	k := intern.Pack(l.id, r.id)
-	if eng.concurrent {
-		eng.pairMu.RLock()
-		var t *ctree
-		if i, ok := eng.pairs.get(k); ok {
-			t = eng.pairArena.at(i)
-		}
-		eng.pairMu.RUnlock()
-		if t != nil {
-			return t
-		}
-		eng.pairMu.Lock()
-		if i, slot, ok := eng.pairs.getOrSlot(k); ok {
-			t = eng.pairArena.at(i)
-		} else {
-			eng.pairID++
-			var idx int32
-			t, idx = eng.pairArena.alloc(intern.ID(2*eng.pairID), l, r) // even IDs (leaves take the odd ones)
-			eng.pairs.putAt(slot, k, idx)
-		}
-		eng.pairMu.Unlock()
-		return t
-	}
 	i, slot, ok := eng.pairs.getOrSlot(k)
 	if ok {
 		return eng.pairArena.at(i)
 	}
 	eng.pairID++
-	t, idx := eng.pairArena.alloc(intern.ID(2*eng.pairID), l, r)
+	t, idx := eng.pairArena.alloc()
+	*t = ctree{id: intern.ID(2 * eng.pairID), left: l, right: r} // even IDs (leaves take the odd ones)
 	eng.pairs.putAt(slot, k, idx)
 	return t
 }
@@ -375,11 +352,10 @@ func (eng *fusedEngine) inertItems(items []history.Item) bool {
 // first sight. The construction mirrors leafMovesLazyInto exactly — same
 // step order, same label/item values, same candidate order, opens with no
 // compliant candidate dropped — so projecting the compiled graph under a
-// plan yields precisely the legacy move relation. Racing builders produce
-// structurally identical rows; one wins the publish.
+// plan yields precisely the legacy move relation.
 func (eng *fusedEngine) rowFor(t *ctree) (*leafRow, error) {
-	if r := t.row.Load(); r != nil {
-		return r, nil
+	if t.row != nil {
+		return t.row, nil
 	}
 	lp := t.lp
 	row := &leafRow{}
@@ -447,7 +423,7 @@ func (eng *fusedEngine) rowFor(t *ctree) (*leafRow, error) {
 			}
 		}
 	}
-	t.row.Store(row)
+	t.row = row
 	return row, nil
 }
 
@@ -459,11 +435,10 @@ func (eng *fusedEngine) rowFor(t *ctree) (*leafRow, error) {
 // leaves. Because children rows already carry canonical successors, each
 // move is wrapped through exactly one pairFor per tree level it is lifted
 // through — and that lift happens once per distinct subtree, not once per
-// expansion. Racing builders produce structurally identical rows; one
-// wins the publish.
+// expansion.
 func (eng *fusedEngine) treeRowFor(t *ctree) (*leafRow, error) {
-	if r := t.row.Load(); r != nil {
-		return r, nil
+	if t.row != nil {
+		return t.row, nil
 	}
 	if t.left == nil {
 		return eng.rowFor(t)
@@ -498,7 +473,7 @@ func (eng *fusedEngine) treeRowFor(t *ctree) (*leafRow, error) {
 	if t.left.left == nil && t.right.left == nil {
 		eng.pairMovesInto(row, t.left, t.right)
 	}
-	t.row.Store(row)
+	t.row = row
 	return row, nil
 }
 

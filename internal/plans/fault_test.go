@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,8 +26,9 @@ import (
 // every sibling plan is still assessed with its true verdict, and the
 // process never crashes. With a store attached, the poisoned plan's
 // Unknown is not persisted, so a clean rerun recomputes exactly that plan.
-// Runs under -race in CI, so the parallel cases also pin down the recovery
-// paths' synchronisation.
+// Each case runs twice: without a budget, and with an unlimited one, which
+// the isolated panic must leave unexhausted — a panic is an internal
+// error, never a budget cutoff.
 func TestFaultInjectionPanicIsolated(t *testing.T) {
 	w := benchgen.Chained(3, 2) // 8 plans, all valid
 	cases := []struct {
@@ -42,9 +44,12 @@ func TestFaultInjectionPanicIsolated(t *testing.T) {
 		{"fused-store", faultinject.PlansWorker, plans.EngineFused, true},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
+		for _, budgeted := range []bool{false, true} {
 			t.Run(tc.name, func(t *testing.T) {
-				opts := plans.Options{Engine: tc.engine, PruneNonCompliant: true, Workers: workers}
+				opts := plans.Options{Engine: tc.engine, PruneNonCompliant: true}
+				if budgeted {
+					opts.Budget = budget.New(context.Background(), budget.Limits{})
+				}
 				var disk *store.Store
 				if tc.store {
 					var err error
@@ -61,7 +66,7 @@ func TestFaultInjectionPanicIsolated(t *testing.T) {
 				as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client, opts)
 				var ie *budget.InternalError
 				if !errors.As(err, &ie) {
-					t.Fatalf("workers=%d: err = %v, want *budget.InternalError", workers, err)
+					t.Fatalf("budgeted=%v: err = %v, want *budget.InternalError", budgeted, err)
 				}
 				if ie.Unit == "" {
 					t.Fatal("internal error must carry the repro unit")
@@ -70,8 +75,8 @@ func TestFaultInjectionPanicIsolated(t *testing.T) {
 					t.Fatal("internal error must carry the recovery stack")
 				}
 				if len(as) != w.PlanCount {
-					t.Fatalf("workers=%d: %d assessments, want all %d plans despite the panic",
-						workers, len(as), w.PlanCount)
+					t.Fatalf("budgeted=%v: %d assessments, want all %d plans despite the panic",
+						budgeted, len(as), w.PlanCount)
 				}
 				unknown := 0
 				for _, a := range as {
@@ -87,8 +92,11 @@ func TestFaultInjectionPanicIsolated(t *testing.T) {
 					}
 				}
 				if unknown != 1 {
-					t.Fatalf("workers=%d: %d unknown verdicts, want exactly 1 (the poisoned unit)",
-						workers, unknown)
+					t.Fatalf("budgeted=%v: %d unknown verdicts, want exactly 1 (the poisoned unit)",
+						budgeted, unknown)
+				}
+				if e := opts.Budget.Exhausted(); e != nil {
+					t.Fatalf("the isolated panic exhausted the budget: %v", e)
 				}
 				if tc.store {
 					checkPoisonedNotPersisted(t, disk, w)
@@ -139,7 +147,7 @@ func TestFaultInjectionPanicKeyed(t *testing.T) {
 	restore := faultinject.Set(faultinject.PanicOnce(faultinject.PlansWorker, victim, "keyed fault"))
 	defer restore()
 	as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client, plans.Options{
-		PruneNonCompliant: true, Workers: 4,
+		PruneNonCompliant: true,
 	})
 	var ie *budget.InternalError
 	if !errors.As(err, &ie) {
@@ -188,7 +196,7 @@ func TestAssessStreamCancelDrains(t *testing.T) {
 	start := time.Now()
 	seen, valid, unknown := 0, 0, 0
 	err := plans.AssessStream(w.Repo, w.Table, w.Loc, w.Client,
-		plans.Options{PruneNonCompliant: true, Workers: 4, Budget: b},
+		plans.Options{PruneNonCompliant: true, Budget: b},
 		func(a plans.Assessment) error {
 			seen++
 			switch a.Report.Verdict {
@@ -218,8 +226,8 @@ func TestAssessStreamCancelDrains(t *testing.T) {
 	t.Logf("drained after %v: %d flushed (%d valid, %d unknown) of %d plans",
 		elapsed, seen, valid, unknown, w.PlanCount)
 
-	// Goroutine-leak check: the worker fleet must be gone. Allow the
-	// runtime a moment to park exiting goroutines.
+	// Goroutine-leak check: nothing the stream started may outlive it.
+	// Allow the runtime a moment to park exiting goroutines.
 	for i := 0; ; i++ {
 		if runtime.NumGoroutine() <= before+2 {
 			break
@@ -237,7 +245,7 @@ func TestAssessAllDeadline(t *testing.T) {
 	w := benchgen.Chained(12, 2)
 	b := budget.New(context.Background(), budget.Limits{Timeout: 50 * time.Millisecond})
 	as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client, plans.Options{
-		PruneNonCompliant: true, Workers: 4, Budget: b,
+		PruneNonCompliant: true, Budget: b,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,4 +262,124 @@ func TestAssessAllDeadline(t *testing.T) {
 			t.Fatalf("plan %s: verdict %s on an all-valid workload", a.Plan, v)
 		}
 	}
+}
+
+// TestFusedBudgetExhaustion: an edge budget that dies during graph
+// expansion must degrade gracefully — no error, every verdict Valid or
+// Unknown (the workload is all-valid), at least one Unknown, the budget
+// reporting the edge limit, and no goroutine left behind.
+func TestFusedBudgetExhaustion(t *testing.T) {
+	before := runtime.NumGoroutine()
+	w := benchgen.Chained(8, 2)
+	b := budget.New(context.Background(), budget.Limits{MaxEdges: 200})
+	as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
+		plans.Options{PruneNonCompliant: true, Budget: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := b.Exhausted()
+	if e == nil || e.Reason != budget.EdgeLimit {
+		t.Fatalf("budget must report the edge limit, got %v", e)
+	}
+	unknown := 0
+	for _, a := range as {
+		switch a.Report.Verdict {
+		case verify.Valid:
+		case verify.Unknown:
+			unknown++
+		default:
+			t.Fatalf("plan %s: verdict %s on an all-valid workload", a.Plan, a.Report.Verdict)
+		}
+	}
+	if unknown == 0 {
+		t.Fatal("an exhausted edge budget must leave some verdicts Unknown")
+	}
+	for i := 0; ; i++ {
+		if runtime.NumGoroutine() <= before+2 {
+			break
+		}
+		if i > 50 {
+			t.Fatalf("goroutine leak: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestFusedCancellation: a context cancelled mid-run stops the assessment
+// promptly, with sound partial output.
+func TestFusedCancellation(t *testing.T) {
+	w := benchgen.Chained(10, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b := budget.New(ctx, budget.Limits{})
+	time.AfterFunc(5*time.Millisecond, cancel)
+	start := time.Now()
+	as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
+		plans.Options{PruneNonCompliant: true, Budget: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancelled run took %v to drain", elapsed)
+	}
+	for _, a := range as {
+		if v := a.Report.Verdict; v != verify.Valid && v != verify.Unknown {
+			t.Fatalf("plan %s: verdict %s on an all-valid workload", a.Plan, v)
+		}
+	}
+}
+
+// TestAssessAllSingleThreaded: plan assessment runs on the calling
+// goroutine. Options.Workers is ignored, so even a request for 8 workers
+// must leave AssessAll and AssessStream starting no goroutine: every
+// goroutine count sampled while a plan is replayed is at most the count
+// before the call.
+func TestAssessAllSingleThreaded(t *testing.T) {
+	w := benchgen.Chained(8, 2)
+	opts := plans.Options{PruneNonCompliant: true, Workers: 8}
+	var mu sync.Mutex
+	samples, peak := 0, 0
+	restore := faultinject.Set(func(p faultinject.Point, unit string) {
+		if p != faultinject.FusedReplay {
+			return
+		}
+		n := runtime.NumGoroutine()
+		mu.Lock()
+		samples++
+		peak = max(peak, n)
+		mu.Unlock()
+	})
+	defer restore()
+	check := func(label string, run func() (int, error)) {
+		t.Helper()
+		mu.Lock()
+		samples, peak = 0, 0
+		mu.Unlock()
+		before := runtime.NumGoroutine()
+		n, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if n != w.PlanCount {
+			t.Fatalf("%s: %d assessments, want %d", label, n, w.PlanCount)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if samples == 0 {
+			t.Fatalf("%s: the replay hook never fired", label)
+		}
+		if peak > before {
+			t.Fatalf("%s: %d goroutines during replay, %d before the call", label, peak, before)
+		}
+	}
+	check("AssessAll", func() (int, error) {
+		as, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client, opts)
+		return len(as), err
+	})
+	check("AssessStream", func() (int, error) {
+		n := 0
+		err := plans.AssessStream(w.Repo, w.Table, w.Loc, w.Client, opts,
+			func(plans.Assessment) error { n++; return nil })
+		return n, err
+	})
 }

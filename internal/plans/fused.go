@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"susc/internal/budget"
@@ -40,10 +39,10 @@ const (
 )
 
 // FusedStats counts the work of one fused synthesis. The fields are
-// typed atomics: the engine's workers Add to them concurrently and any
-// reader may Load at any time, including mid-run — there is no plain
-// access to mix with. The struct must not be copied; Reset zeroes it
-// in place between runs.
+// typed atomics: the engine Adds to them while any other goroutine may
+// Load at any time, including mid-run — there is no plain access to mix
+// with. The struct must not be copied; Reset zeroes it in place between
+// runs.
 type FusedStats struct {
 	// StatesExpanded is the number of distinct graph states whose moves
 	// and monitor advances were computed (once, shared by every plan
@@ -144,47 +143,33 @@ type fusedEngine struct {
 	clientReqs []hexpr.RequestID
 	locReqs    map[hexpr.Location][]hexpr.RequestID
 
-	// concurrent records whether plan assessment may run on multiple
-	// goroutines (opts.Workers > 1). Single-threaded engines skip the
-	// canonical-table locks entirely — the locks exist only to make the
-	// shared graph safe for parallel replay workers. Set at construction,
-	// read-only after.
-	concurrent bool
-
 	// cycleFree records that the union call graph — every request pointing
 	// at every location enumeration could bind it to — is acyclic, which
 	// proves every assessed plan acyclic (each plan's call graph is a
 	// subgraph) and lets staticCheck skip the per-plan cycle DFS. Set
-	// before workers start, read-only after.
+	// before the first plan is assessed, read-only after.
 	cycleFree bool
 
-	candMu sync.Mutex
-	cands  map[hexpr.RequestID][]hexpr.Location
+	cands map[hexpr.RequestID][]hexpr.Location
 
 	// leaves/pairs intern the canonical ctrees — leaves keyed on (location
 	// ID, expression ID), pairs on the children's engine-local IDs. IDs are
-	// split odd (leaves, leafID) / even (pairs, pairID) so each counter is
-	// guarded by the lock already held at creation. Pair ctrees and fnodes
-	// are bump-allocated from arenas under their locks: they are
-	// engine-lifetime and dominate the object population, so block
-	// allocation removes both the per-object malloc and the garbage
-	// collector's per-object tracking, and packs the replay-hot nodes
-	// contiguously.
-	leafMu    sync.RWMutex
+	// split odd (leaves, leafID) / even (pairs, pairID). Pair ctrees and
+	// fnodes are bump-allocated from arenas: they are engine-lifetime and
+	// dominate the object population, so block allocation removes both the
+	// per-object malloc and the garbage collector's per-object tracking,
+	// and packs the replay-hot nodes contiguously.
 	leaves    map[uint64]*ctree
 	leafID    int32
-	pairMu    sync.RWMutex
 	pairs     u64map
-	pairArena carena
+	pairArena arena[ctree]
 	pairID    int32
 
-	nodeMu    sync.Mutex
 	nodes     u64map
-	nodeArena narena
+	nodeArena arena[fnode]
 	start     *fnode
 
-	memoMu sync.Mutex
-	memo   *decisionTrie
+	memo *decisionTrie
 }
 
 // pendEntry is one pending session of the static compliance walk: the
@@ -213,18 +198,14 @@ type fnode struct {
 	// that share the monitor so inert moves re-key nothing.
 	sigID intern.ID
 	done  bool
-	// idx is the node's dense creation index; replays key their visited
-	// arrays on it (an indexed slot instead of a map operation per visit).
-	idx int32
-
-	// ready flips once groups/err are final; replays check it lock-free
-	// (Store is the release publishing the fields, Load the acquire), so
-	// the n-th visit of an expanded node costs no mutex.
-	ready    atomic.Bool
-	mu       sync.Mutex
+	// expanded flips once groups/err are final (see ensureExpanded).
 	expanded bool
-	err      error
-	groups   []fgroup
+	// idx is the node's dense creation index (and its nodeArena index);
+	// replays key their visited arrays on it (an indexed slot instead of a
+	// map operation per visit).
+	idx    int32
+	err    error
+	groups []fgroup
 }
 
 // fgroup is one outgoing move group of an expanded node. The overwhelming
@@ -288,20 +269,19 @@ func newFusedEngine(repo network.Repository, table *policy.Table,
 		stats = &FusedStats{}
 	}
 	eng := &fusedEngine{
-		repo:       repo,
-		table:      table,
-		loc:        loc,
-		client:     client,
-		opts:       opts,
-		cache:      cache,
-		tab:        cache.Interner(),
-		stats:      stats,
-		monCT:      table.Compiled(),
-		concurrent: opts.Workers > 1,
-		locations:  repo.Locations(),
-		bodies:     map[hexpr.RequestID]hexpr.Expr{},
-		cands:      map[hexpr.RequestID][]hexpr.Location{},
-		leaves:     map[uint64]*ctree{},
+		repo:      repo,
+		table:     table,
+		loc:       loc,
+		client:    client,
+		opts:      opts,
+		cache:     cache,
+		tab:       cache.Interner(),
+		stats:     stats,
+		monCT:     table.Compiled(),
+		locations: repo.Locations(),
+		bodies:    map[hexpr.RequestID]hexpr.Expr{},
+		cands:     map[hexpr.RequestID][]hexpr.Location{},
+		leaves:    map[uint64]*ctree{},
 	}
 	eng.locIDs = make(map[hexpr.Location]intern.ID, len(eng.locations)+1)
 	eng.locIDs[loc] = eng.tab.Key(string(loc))
@@ -360,8 +340,6 @@ func newFusedEngine(repo network.Repository, table *policy.Table,
 // with the request's body, in deterministic (sorted-location) order — the
 // branching set of a lazy session-open. Cached per request.
 func (eng *fusedEngine) candidates(req hexpr.RequestID) ([]hexpr.Location, error) {
-	eng.candMu.Lock()
-	defer eng.candMu.Unlock()
 	if locs, ok := eng.cands[req]; ok {
 		return locs, nil
 	}
@@ -384,49 +362,21 @@ func (eng *fusedEngine) candidates(req hexpr.RequestID) ([]hexpr.Location, error
 	return locs, nil
 }
 
-// narena bump-allocates fnodes in 4096-entry blocks, addressable by dense
-// index (fnode.idx doubles as the arena index), under nodeMu. Besides
-// removing per-object malloc/GC costs, it lays the nodes out in creation
-// order, which is close to BFS order — the order replays touch them.
-type narena struct {
-	blocks [][]fnode
-	n      int32
-}
-
-func (a *narena) alloc() (*fnode, int32) {
-	if a.n>>arenaShift == int32(len(a.blocks)) {
-		a.blocks = append(a.blocks, make([]fnode, 0, 1<<arenaShift))
-	}
-	b := &a.blocks[len(a.blocks)-1]
-	*b = append(*b, fnode{})
-	i := a.n
-	a.n++
-	return &(*b)[len(*b)-1], i
-}
-
-func (a *narena) at(i int32) *fnode {
-	return &a.blocks[i>>arenaShift][i&(1<<arenaShift-1)]
-}
-
 // node interns (tree, monitor) into the shared graph, creating the node on
-// first sight. The caller supplies the interned monitor signature —
-// computed once per move group, before the node is published through the
-// map mutex, so readers in other goroutines never race on the signature
-// cache. The tree's one-entry node cache answers repeat lookups (the vast
-// majority: worlds have few distinct signatures per tree) without the map.
+// first sight. The caller supplies the interned monitor signature, computed
+// once per move group. The tree's one-entry node cache answers repeat
+// lookups (the vast majority: worlds have few distinct signatures per
+// tree) without the map. The node arena lays the nodes out in creation
+// order, which is close to BFS order — the order replays touch them.
 func (eng *fusedEngine) node(ct *ctree, mon *history.Monitor, sigID intern.ID) *fnode {
-	if n := ct.nd.Load(); n != nil && n.sigID == sigID {
+	if n := ct.nd; n != nil && n.sigID == sigID {
 		return n
 	}
 	k := intern.Pack(ct.id, sigID)
-	if eng.concurrent {
-		eng.nodeMu.Lock()
-		defer eng.nodeMu.Unlock()
-	}
 	i, slot, ok := eng.nodes.getOrSlot(k)
 	if ok {
 		n := eng.nodeArena.at(i)
-		ct.nd.Store(n)
+		ct.nd = n
 		return n
 	}
 	n, idx := eng.nodeArena.alloc()
@@ -436,7 +386,7 @@ func (eng *fusedEngine) node(ct *ctree, mon *history.Monitor, sigID intern.ID) *
 	n.done = ct.left == nil && hexpr.IsNil(ct.lp.expr)
 	n.idx = idx
 	eng.nodes.putAt(slot, k, idx)
-	ct.nd.Store(n)
+	ct.nd = n
 	return n
 }
 
@@ -573,21 +523,15 @@ func (eng *fusedEngine) buildGroups(n *fnode) ([]fgroup, error) {
 // items), and the successor nodes. Every plan whose replay reaches this
 // state reuses the result.
 func (n *fnode) ensureExpanded(eng *fusedEngine) error {
-	if n.ready.Load() {
+	if n.expanded {
 		return n.err
 	}
 	// Budget exhaustion aborts the expansion *without* publishing into
 	// n.err: the cutoff is a property of this run's budget, not of the
 	// node, and a cached exhaustion would poison replays of plans whose
-	// verdict was already decided (or later unbudgeted runs sharing the
-	// graph through a long-lived engine).
+	// verdict was already decided.
 	if e := eng.opts.Budget.Exhausted(); e != nil {
 		return e
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.expanded {
-		return n.err
 	}
 	if faultinject.Enabled() {
 		faultinject.Fire(faultinject.FusedExpand, n.ct.treeKey())
@@ -599,12 +543,10 @@ func (n *fnode) ensureExpanded(eng *fusedEngine) error {
 	built, err := eng.buildGroups(n)
 	if err != nil {
 		n.expanded, n.err = true, err
-		n.ready.Store(true)
 		return err
 	}
 	n.groups = built
 	n.expanded = true
-	n.ready.Store(true)
 	eng.stats.StatesExpanded.Add(1)
 	return nil
 }
@@ -638,7 +580,7 @@ type pmove struct {
 	next      *fnode
 }
 
-// replayer holds one worker's reusable replay scratch: the epoch-stamped
+// replayer holds the engine's reusable replay scratch: the epoch-stamped
 // visited array (indexed by fnode.idx — a slot access instead of a map
 // operation per visit), BFS ring, projected-move buffer, the dense plan
 // vector, decision accumulators and compliance matrix persist across
@@ -657,14 +599,14 @@ type replayer struct {
 	used     []decision
 	usedMark []uint32
 	// seenMark/seenEpoch dedup the static compliance walk; compl is the
-	// per-worker compliance matrix (reqIdx*nLoc + locIdx → 0 unknown,
+	// compliance matrix (reqIdx*nLoc + locIdx → 0 unknown,
 	// 1 compliant, 2 non-compliant), lazily filled from the shared cache
 	// so the steady-state walk does no hashing at all.
 	seenMark  []uint32
 	seenEpoch uint32
 	compl     []int8
-	// states counts this replay's visits, flushed to the shared stats in
-	// one atomic add per plan.
+	// states counts this replay's visits, flushed to the stats in one
+	// atomic add per plan.
 	states uint64
 }
 
@@ -823,11 +765,9 @@ func (eng *fusedEngine) replay(vec []int32, r *replayer) (*verify.Report, error)
 // memo: a hit costs one trie walk; a miss replays and files the report
 // under the decisions the replay consulted.
 func (eng *fusedEngine) assessReplay(vec []int32, r *replayer) (*verify.Report, error) {
-	eng.memoMu.Lock()
 	for t := eng.memo; t != nil; {
 		if t.leaf {
 			rep := *t.report
-			eng.memoMu.Unlock()
 			eng.stats.ReplayMemoHits.Add(1)
 			return &rep, nil
 		}
@@ -836,7 +776,6 @@ func (eng *fusedEngine) assessReplay(vec []int32, r *replayer) (*verify.Report, 
 		}
 		t = t.branches[vec[t.req]]
 	}
-	eng.memoMu.Unlock()
 
 	report, err := eng.replay(vec, r)
 	eng.stats.ReplayStates.Add(r.states)
@@ -850,16 +789,14 @@ func (eng *fusedEngine) assessReplay(vec []int32, r *replayer) (*verify.Report, 
 		return report, nil
 	}
 
-	eng.memoMu.Lock()
+	// The lookup above missed along these very decisions (replays consult
+	// them deterministically), so the walk ends on a fresh placeholder.
 	node := eng.memo
 	if node == nil {
 		node = &decisionTrie{req: -1}
 		eng.memo = node
 	}
 	for _, d := range r.used {
-		if node.leaf {
-			break // concurrent duplicate replay already filed a report
-		}
 		if node.req < 0 {
 			node.req = d.req
 			node.branches = map[int32]*decisionTrie{}
@@ -871,11 +808,8 @@ func (eng *fusedEngine) assessReplay(vec []int32, r *replayer) (*verify.Report, 
 		}
 		node = child
 	}
-	if !node.leaf && node.req < 0 {
-		node.leaf = true
-		node.report = report
-	}
-	eng.memoMu.Unlock()
+	node.leaf = true
+	node.report = report
 	rep := *report
 	return &rep, nil
 }
@@ -1036,7 +970,7 @@ func (eng *fusedEngine) assess(plan network.Plan, vec []int32, r *replayer) (Ass
 // genuine) becomes a typed *budget.InternalError whose Unit is the plan
 // key, the plan's verdict degrades to Unknown, and the error is returned
 // alongside the assessment so the caller can report it after the rest of
-// the fleet finishes. The plan key is rendered lazily — only fault
+// the plans are through. The plan key is rendered lazily — only fault
 // injection and the panic path pay the map-sort-format cost. The replayer
 // stays reusable: replay and staticCheck reset every piece of scratch
 // state at entry.
@@ -1155,9 +1089,8 @@ func (eng *fusedEngine) enumerate() ([]network.Plan, [][]int32, error) {
 // its assessment to yield, in deterministic enumeration order (depth-first
 // over pending requests, candidates in sorted-location order). A non-nil
 // error from yield stops the stream and is returned. Assessments come from
-// the fused engine: plans are validated against one shared state graph,
-// and with opts.Workers > 1 they are assessed concurrently (yield still
-// observes enumeration order, and is never called concurrently).
+// the fused engine: plans are validated against one shared state graph, on
+// the calling goroutine.
 //
 // With a persistent store attached to opts.Cache, the stream uses only
 // the compliance and LTS disk tiers (through the cache); it neither
@@ -1222,46 +1155,38 @@ func (eng *fusedEngine) planKeys(vecs [][]int32) []string {
 }
 
 // run assesses the given plans (vecs[i] is plans[i]'s dense vector) over
-// the engine's shared graph and yields each assessment in the order of
-// plans. Every plan is yielded exactly once, also under budget exhaustion
-// and isolated worker panics; an internal error is returned after the
-// last yield. A non-nil error from yield stops the run and is returned.
+// the engine's shared graph, on the calling goroutine, and yields each
+// assessment in the order of plans. Every plan is yielded exactly once,
+// also under budget exhaustion and isolated panics; an internal error is
+// returned after the last yield. A non-nil error from yield stops the run
+// and is returned.
 func (eng *fusedEngine) run(plans []network.Plan, vecs [][]int32, yield func(Assessment) error) error {
 	if len(plans) == 0 {
 		return nil
+	}
+	// Size the canonical-pair and node tables and their arenas now that the
+	// workload scale is known: the explored graph grows with plans ×
+	// requests. Presizing skips the tables' doubling ladder (see
+	// u64map.reserve), and sizing the arenas' first blocks from the same
+	// estimate keeps a small family from paying for a large one's blocks.
+	// The cap keeps a wide plan space with a small shared graph from
+	// over-allocating — beyond it, organic growth takes over.
+	if n := len(plans) * eng.nReq; n > 0 {
+		const maxReserve = 1 << 21
+		pairs, nodes := min(2*n, 2*maxReserve), min(n, maxReserve/2)
+		eng.pairs.reserve(pairs)
+		eng.pairArena.size(pairs)
+		eng.nodes.reserve(nodes)
+		eng.nodeArena.size(nodes)
 	}
 	// The graph's start node is built here, not at construction: a run
 	// with nothing to assess (every plan a store hit) then never allocates
 	// the node arena.
 	mon := history.NewMonitor(eng.table)
 	eng.start = eng.node(eng.leaf(eng.loc, eng.locIDs[eng.loc], eng.client), mon, eng.tab.Key(mon.Signature()))
-	// Presize the canonical-pair and node tables now that the workload
-	// scale is known: the explored graph grows with plans × requests, and
-	// letting the tables double their way up instead was a third of the
-	// engine's allocated bytes (see u64map.reserve). The cap keeps a wide
-	// plan space with a small shared graph from over-allocating — beyond
-	// it, organic growth takes over.
-	if n := len(plans) * eng.nReq; n > 0 {
-		const maxReserve = 1 << 21
-		eng.pairs.reserve(min(2*n, 2*maxReserve))
-		eng.nodes.reserve(min(n, maxReserve/2))
-	}
 	if err := eng.computeCycleSkip(); err != nil {
 		return err
 	}
-	if eng.opts.Workers > 1 && len(plans) > serialAssessThreshold {
-		if eng.cycleFree {
-			// Warm the shared graph with the sharded parallel frontier
-			// before the replay fleet starts; an acyclic union call graph
-			// bounds it (see expandSharded).
-			eng.expandSharded()
-		}
-		return eng.runParallel(plans, vecs, yield)
-	}
-	// Serial fallback: below the threshold the fleet costs more than the
-	// work (see serialAssessThreshold). No goroutine will touch the graph,
-	// so the engine also drops the canonical-table locking.
-	eng.concurrent = false
 	r := eng.newReplayer()
 	var firstInternal *budget.InternalError
 	for i, p := range plans {
@@ -1277,86 +1202,6 @@ func (eng *fusedEngine) run(plans []network.Plan, vecs [][]int32, yield func(Ass
 		}
 		if err := yield(a); err != nil {
 			return err
-		}
-	}
-	if firstInternal != nil {
-		return firstInternal
-	}
-	return nil
-}
-
-// runParallel assesses the plans with opts.Workers goroutines over the
-// shared graph, delivering results to yield in enumeration order through a
-// reorder buffer. Work-stealing is implicit: workers pull the next plan
-// index as they free up, so an expensive replay never stalls the others.
-func (eng *fusedEngine) runParallel(plans []network.Plan, vecs [][]int32, yield func(Assessment) error) error {
-	type res struct {
-		idx int
-		a   Assessment
-		err error
-	}
-	jobs := make(chan int)
-	results := make(chan res, eng.opts.Workers)
-	stop := make(chan struct{})
-	defer close(stop)
-	var wg sync.WaitGroup
-	for w := 0; w < eng.opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r := eng.newReplayer()
-			for i := range jobs {
-				a, err := eng.assessGuarded(plans[i], vecs[i], r)
-				select {
-				case results <- res{idx: i, a: a, err: err}:
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for i := range plans {
-			select {
-			case jobs <- i:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	pending := map[int]res{}
-	next := 0
-	var firstInternal *budget.InternalError
-	for r := range results {
-		pending[r.idx] = r
-		for {
-			rr, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if rr.err != nil {
-				// An isolated worker panic is not fatal to the fleet: the
-				// poisoned plan's Unknown assessment is still yielded and
-				// the first internal error is reported once all plans are
-				// through.
-				var ie *budget.InternalError
-				if !errors.As(rr.err, &ie) {
-					return rr.err
-				}
-				if firstInternal == nil {
-					firstInternal = ie
-				}
-			}
-			if err := yield(rr.a); err != nil {
-				return err
-			}
-			next++
 		}
 	}
 	if firstInternal != nil {

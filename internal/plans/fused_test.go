@@ -18,42 +18,48 @@ import (
 
 // assertEquivalent runs both engines on the world and requires identical
 // assessments — plans, verdicts, witnesses, traces, even state counts — in
-// identical order, for every prune × workers combination. This is the
-// contract of the fused engine: it is an optimisation, never a semantic
-// change.
+// identical order, with and without pruning. This is the contract of the
+// fused engine: it is an optimisation, never a semantic change.
 func assertEquivalent(t *testing.T, label string, repo network.Repository,
 	table *policy.Table, loc hexpr.Location, client hexpr.Expr) {
 	t.Helper()
 	for _, prune := range []bool{false, true} {
-		legacy, legacyErr := plans.AssessAll(repo, table, loc, client, plans.Options{
-			Engine: plans.EngineLegacy, PruneNonCompliant: prune,
-		})
-		for _, workers := range []int{1, 4} {
-			fused, fusedErr := plans.AssessAll(repo, table, loc, client, plans.Options{
-				Engine: plans.EngineFused, PruneNonCompliant: prune, Workers: workers,
-			})
-			if (legacyErr == nil) != (fusedErr == nil) {
-				t.Fatalf("%s (prune=%v workers=%d): legacy err = %v, fused err = %v",
-					label, prune, workers, legacyErr, fusedErr)
-			}
-			if legacyErr != nil {
-				if legacyErr.Error() != fusedErr.Error() {
-					t.Fatalf("%s (prune=%v workers=%d): legacy err = %q, fused err = %q",
-						label, prune, workers, legacyErr, fusedErr)
-				}
-				continue
-			}
-			if len(legacy) != len(fused) {
-				t.Fatalf("%s (prune=%v workers=%d): legacy %d assessments, fused %d",
-					label, prune, workers, len(legacy), len(fused))
-			}
-			for i := range legacy {
-				if !reflect.DeepEqual(legacy[i], fused[i]) {
-					t.Fatalf("%s (prune=%v workers=%d): assessment %d differs:\nlegacy: %+v\n        %+v\nfused:  %+v\n        %+v",
-						label, prune, workers, i,
-						legacy[i], *legacy[i].Report, fused[i], *fused[i].Report)
-				}
-			}
+		assertEquivalentPrune(t, label, prune, repo, table, loc, client)
+	}
+}
+
+// assertEquivalentPrune is assertEquivalent for one pruning mode: worlds
+// whose unpruned plan space is too large to enumerate check the pruned
+// mode only.
+func assertEquivalentPrune(t *testing.T, label string, prune bool, repo network.Repository,
+	table *policy.Table, loc hexpr.Location, client hexpr.Expr) {
+	t.Helper()
+	legacy, legacyErr := plans.AssessAll(repo, table, loc, client, plans.Options{
+		Engine: plans.EngineLegacy, PruneNonCompliant: prune,
+	})
+	fused, fusedErr := plans.AssessAll(repo, table, loc, client, plans.Options{
+		Engine: plans.EngineFused, PruneNonCompliant: prune,
+	})
+	if (legacyErr == nil) != (fusedErr == nil) {
+		t.Fatalf("%s (prune=%v): legacy err = %v, fused err = %v",
+			label, prune, legacyErr, fusedErr)
+	}
+	if legacyErr != nil {
+		if legacyErr.Error() != fusedErr.Error() {
+			t.Fatalf("%s (prune=%v): legacy err = %q, fused err = %q",
+				label, prune, legacyErr, fusedErr)
+		}
+		return
+	}
+	if len(legacy) != len(fused) {
+		t.Fatalf("%s (prune=%v): legacy %d assessments, fused %d",
+			label, prune, len(legacy), len(fused))
+	}
+	for i := range legacy {
+		if !reflect.DeepEqual(legacy[i], fused[i]) {
+			t.Fatalf("%s (prune=%v): assessment %d differs:\nlegacy: %+v\n        %+v\nfused:  %+v\n        %+v",
+				label, prune, i,
+				legacy[i], *legacy[i].Report, fused[i], *fused[i].Report)
 		}
 	}
 }
@@ -61,7 +67,10 @@ func assertEquivalent(t *testing.T, label string, repo network.Repository,
 // TestFusedEquivalenceDeterministic: the engines agree on the curated
 // worlds — the paper's running example (valid, non-compliant, violating
 // and cyclic plans), the scaled hotel world, and the chained-brokers
-// workload.
+// workload. The larger chained rows (pruned only: unpruned, their plan
+// spaces are too large to enumerate) have families of hundreds of plans
+// and shared graphs of thousands of nodes, so the engine's tables and
+// arenas grow past their presized first blocks.
 func TestFusedEquivalenceDeterministic(t *testing.T) {
 	repo := network.Repository(paperex.Repository())
 	assertEquivalent(t, "paperex/C1", repo, paperex.Policies(), paperex.LocC1, paperex.C1())
@@ -70,11 +79,23 @@ func TestFusedEquivalenceDeterministic(t *testing.T) {
 	h := benchgen.Hotels(6)
 	assertEquivalent(t, "hotels(6)", h.Repo, h.Table, h.Loc, h.Client)
 
-	c := benchgen.Chained(2, 3)
-	assertEquivalent(t, "chained(2,3)", c.Repo, c.Table, c.Loc, c.Client)
-
-	c = benchgen.Chained(3, 2)
-	assertEquivalent(t, "chained(3,2)", c.Repo, c.Table, c.Loc, c.Client)
+	for _, tc := range []struct {
+		depth, fanout int
+		pruneOnly     bool
+	}{
+		{2, 3, false},
+		{3, 2, false},
+		{8, 2, true},
+		{4, 3, true},
+	} {
+		c := benchgen.Chained(tc.depth, tc.fanout)
+		label := fmt.Sprintf("chained(%d,%d)", tc.depth, tc.fanout)
+		if tc.pruneOnly {
+			assertEquivalentPrune(t, label, true, c.Repo, c.Table, c.Loc, c.Client)
+			continue
+		}
+		assertEquivalent(t, label, c.Repo, c.Table, c.Loc, c.Client)
+	}
 }
 
 // worldGen builds small random worlds: services decorated with random
@@ -151,8 +172,7 @@ func (g *worldGen) decorate(e hexpr.Expr, opens *int, depth int) hexpr.Expr {
 
 // TestFusedEquivalenceRandom is the equivalence property test: on
 // randomized repositories the fused engine reproduces the legacy engine's
-// assessments exactly, across pruning and worker settings (the CI runs
-// this under -race, exercising the shared graph concurrently).
+// assessments exactly, with and without pruning.
 func TestFusedEquivalenceRandom(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
@@ -178,13 +198,13 @@ func TestFusedEquivalenceRandom(t *testing.T) {
 }
 
 // TestAssessStreamDeterministicOrder: the stream's enumeration order is
-// reproducible, also with a worker pool racing over the shared graph.
+// reproducible.
 func TestAssessStreamDeterministicOrder(t *testing.T) {
 	w := benchgen.Chained(3, 3)
 	run := func() []string {
 		var keys []string
 		err := plans.AssessStream(w.Repo, w.Table, w.Loc, w.Client,
-			plans.Options{PruneNonCompliant: true, Workers: 4},
+			plans.Options{PruneNonCompliant: true},
 			func(a plans.Assessment) error {
 				keys = append(keys, a.Plan.Key())
 				return nil
@@ -206,27 +226,25 @@ func TestAssessStreamDeterministicOrder(t *testing.T) {
 }
 
 // TestAssessStreamEarlyStop: a yield error stops the stream and surfaces
-// unchanged, sequentially and with workers.
+// unchanged.
 func TestAssessStreamEarlyStop(t *testing.T) {
 	w := benchgen.Chained(2, 3)
 	sentinel := errors.New("enough")
-	for _, workers := range []int{1, 4} {
-		seen := 0
-		err := plans.AssessStream(w.Repo, w.Table, w.Loc, w.Client,
-			plans.Options{PruneNonCompliant: true, Workers: workers},
-			func(plans.Assessment) error {
-				seen++
-				if seen == 2 {
-					return sentinel
-				}
-				return nil
-			})
-		if !errors.Is(err, sentinel) {
-			t.Fatalf("workers=%d: err = %v, want sentinel", workers, err)
-		}
-		if seen != 2 {
-			t.Fatalf("workers=%d: yield ran %d times after stop", workers, seen)
-		}
+	seen := 0
+	err := plans.AssessStream(w.Repo, w.Table, w.Loc, w.Client,
+		plans.Options{PruneNonCompliant: true},
+		func(plans.Assessment) error {
+			seen++
+			if seen == 2 {
+				return sentinel
+			}
+			return nil
+		})
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("err = %v, want sentinel", err)
+	}
+	if seen != 2 {
+		t.Fatalf("yield ran %d times after stop", seen)
 	}
 }
 
@@ -263,30 +281,28 @@ func TestFusedStats(t *testing.T) {
 }
 
 // TestFusedStatsPinnedChained pins the engine's deterministic work counts
-// on Chained(12,2) — the plan-family benchmark workload — at every worker
-// count: a change to the graph the engine builds or the replays it runs
-// shows up here as a count, not as wall-clock noise.
+// on Chained(12,2) — the plan-family benchmark workload: a change to the
+// graph the engine builds or the replays it runs shows up here as a count,
+// not as wall-clock noise.
 func TestFusedStatsPinnedChained(t *testing.T) {
 	w := benchgen.Chained(12, 2)
-	for _, workers := range []int{0, 1, 2, 4} {
-		var stats plans.FusedStats
-		if _, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
-			plans.Options{PruneNonCompliant: true, Workers: workers, Stats: &stats}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for _, c := range []struct {
-			name      string
-			got, want uint64
-		}{
-			{"StatesExpanded", stats.StatesExpanded.Load(), 36856},
-			{"EdgesBuilt", stats.EdgesBuilt.Load(), 40950},
-			{"ReplayStates", stats.ReplayStates.Load(), 249856},
-			{"ReplayMemoHits", stats.ReplayMemoHits.Load(), 0},
-			{"PlansAssessed", stats.PlansAssessed.Load(), 4096},
-		} {
-			if c.got != c.want {
-				t.Errorf("workers=%d: %s = %d, want %d", workers, c.name, c.got, c.want)
-			}
+	var stats plans.FusedStats
+	if _, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
+		plans.Options{PruneNonCompliant: true, Stats: &stats}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"StatesExpanded", stats.StatesExpanded.Load(), 36856},
+		{"EdgesBuilt", stats.EdgesBuilt.Load(), 40950},
+		{"ReplayStates", stats.ReplayStates.Load(), 249856},
+		{"ReplayMemoHits", stats.ReplayMemoHits.Load(), 0},
+		{"PlansAssessed", stats.PlansAssessed.Load(), 4096},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
 }

@@ -110,23 +110,22 @@ func TestIncrementalWarmStoreMatches(t *testing.T) {
 // misses AND by write-backs (each recomputed cone writes back once) — and
 // replays everything else from the store, with output identical to a
 // storeless run of the edited repository. The rows cover a small and a
-// large miss fraction, sequential and with a worker fleet.
+// large miss fraction.
 func TestIncrementalEditRecomputesOnlyMisses(t *testing.T) {
 	cases := []struct {
 		name          string
 		depth, fanout int
-		workers       int
 		target        hexpr.Location
 	}{
 		// 16 plans; editing one leaf invalidates the 4 binding r2 → s2_3.
-		{"quarter", 2, 4, 4, "s2_3"},
+		{"quarter", 2, 4, "s2_3"},
 		// 4 plans; editing one leaf invalidates the 2 binding r2 → s2_1.
-		{"half", 2, 2, 0, "s2_1"},
+		{"half", 2, 2, "s2_1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			w := benchgen.Chained(tc.depth, tc.fanout)
-			opts := plans.Options{PruneNonCompliant: true, Workers: tc.workers}
+			opts := plans.Options{PruneNonCompliant: true}
 
 			path := filepath.Join(t.TempDir(), "susc.store")
 			s1, err := store.Open(path, hash.Fingerprint())

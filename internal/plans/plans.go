@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"susc/internal/budget"
 	"susc/internal/faultinject"
@@ -35,13 +34,12 @@ type Options struct {
 	// MaxPlans bounds the number of complete plans examined (0 = no
 	// bound). Synthesis fails with an error when the bound is hit.
 	MaxPlans int
-	// Workers validates plans concurrently with this many goroutines
-	// (0 or 1 = sequential). All analyses are read-only over the
-	// repository and policy table, so parallel validation is safe.
+	// Workers is ignored: both engines assess plans on the calling
+	// goroutine, whatever its value.
 	Workers int
 	// Cache memoises compliance verdicts, product automata and one-step
 	// transition sets across the whole synthesis: the enumeration probe
-	// (PruneNonCompliant) and every worker validating candidate plans
+	// (PruneNonCompliant) and the validation of every candidate plan
 	// share it, so per-pair work is done once instead of once per plan.
 	// Nil builds a fresh cache for the call; supply one to share it
 	// across calls (e.g. repeated synthesis over the same repository).
@@ -160,7 +158,7 @@ func AssessAll(repo network.Repository, table *policy.Table,
 		return nil, err
 	}
 	sort.Sort(&byKey{keys: eng.planKeys(vecs), out: out})
-	// An internal error (isolated worker panic) is returned alongside the
+	// An internal error (isolated per-plan panic) is returned alongside the
 	// assessments: the poisoned plan is Unknown, the rest are intact.
 	return out, err
 }
@@ -180,115 +178,45 @@ func assessAllLegacy(repo network.Repository, table *policy.Table,
 	}
 	vopts := verify.Options{Cache: cache, Budget: opts.Budget,
 		SkipDiskProbe: opts.MemoryTierOnly}
+	// Each plan is checked inside a panic guard: a panic becomes a typed
+	// *budget.InternalError carrying the plan key as a repro bundle, that
+	// plan's verdict degrades to Unknown, and the remaining plans are
+	// still checked; the first such error is returned alongside the
+	// assessments. Any other error aborts the call.
 	out := make([]Assessment, len(complete))
-	firstInternal, err := assessEach(complete, opts.Workers, out,
-		func(i int, key string) (*verify.Report, error) {
+	// Plan.Key() rebuilds its string per call: computed once per plan, the
+	// key serves the guard, the fault hook and the sort.
+	keys := make([]string, len(complete))
+	var firstInternal *budget.InternalError
+	for i, plan := range complete {
+		key := plan.Key()
+		keys[i] = key
+		var report *verify.Report
+		err := budget.Guard("plan "+key, func() error {
 			if faultinject.Enabled() {
 				faultinject.Fire(faultinject.PlansWorker, key)
 			}
-			return verify.CheckPlanOpts(repo, table, loc, client, complete[i], vopts)
+			var err error
+			report, err = verify.CheckPlanOpts(repo, table, loc, client, plan, vopts)
+			return err
 		})
-	if err != nil {
-		return nil, err
-	}
-	// sort on precomputed keys: Plan.Key() rebuilds its string per call,
-	// so computing it once per plan beats recomputing per comparison
-	keys := make([]string, len(out))
-	for i := range out {
-		keys[i] = out[i].Plan.Key()
+		if err != nil {
+			var ie *budget.InternalError
+			if !errors.As(err, &ie) {
+				return nil, err
+			}
+			if firstInternal == nil {
+				firstInternal = ie
+			}
+			report = &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}
+		}
+		out[i] = Assessment{Plan: plan, Report: report}
 	}
 	sort.Sort(&byKey{keys: keys, out: out})
 	if firstInternal != nil {
 		return out, firstInternal
 	}
 	return out, nil
-}
-
-// assessEach validates every complete[i] with check, writing out[i], on a
-// fleet of workers goroutines (sequentially below two workers or two
-// plans). check runs inside a panic guard: a panic becomes a typed
-// *budget.InternalError carrying the plan key as a repro bundle, that
-// plan's verdict degrades to Unknown, and the rest of the fleet finishes
-// undisturbed; the first such error is returned. Any other error aborts
-// the call and is returned as the second result.
-func assessEach(complete []network.Plan, workers int, out []Assessment,
-	check func(i int, key string) (*verify.Report, error)) (*budget.InternalError, error) {
-
-	guarded := func(i int) (Assessment, error) {
-		plan := complete[i]
-		key := plan.Key()
-		var report *verify.Report
-		err := budget.Guard("plan "+key, func() error {
-			var err error
-			report, err = check(i, key)
-			return err
-		})
-		if err != nil {
-			var ie *budget.InternalError
-			if errors.As(err, &ie) {
-				return Assessment{Plan: plan,
-					Report: &verify.Report{Verdict: verify.Unknown, Reason: ie.Error()}}, err
-			}
-			return Assessment{}, err
-		}
-		return Assessment{Plan: plan, Report: report}, nil
-	}
-
-	var firstInternal *budget.InternalError
-	if workers <= 1 || len(complete) <= 1 {
-		for i := range complete {
-			a, err := guarded(i)
-			if err != nil {
-				var ie *budget.InternalError
-				if !errors.As(err, &ie) {
-					return nil, err
-				}
-				if firstInternal == nil {
-					firstInternal = ie
-				}
-			}
-			out[i] = a
-		}
-		return firstInternal, nil
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				a, err := guarded(i)
-				if err != nil {
-					var ie *budget.InternalError
-					mu.Lock()
-					if errors.As(err, &ie) {
-						if firstInternal == nil {
-							firstInternal = ie
-						}
-					} else if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					if a.Report == nil {
-						continue
-					}
-				}
-				out[i] = a
-			}
-		}()
-	}
-	for i := range complete {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return firstInternal, nil
 }
 
 type byKey struct {

@@ -165,8 +165,8 @@ func TestAssessmentString(t *testing.T) {
 	}
 }
 
-// TestParallelAssessmentMatchesSequential: the worker pool returns the
-// same assessments as the sequential path.
+// TestParallelAssessmentMatchesSequential: Options.Workers is ignored — a
+// request for 4 workers returns the same assessments as the default.
 func TestParallelAssessmentMatchesSequential(t *testing.T) {
 	seq, err := plans.AssessAll(paperex.Repository(), paperex.Policies(),
 		paperex.LocC1, paperex.C1(), plans.Options{})

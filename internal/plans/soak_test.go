@@ -62,7 +62,7 @@ func TestSoakCancellationSound(t *testing.T) {
 			b := budget.New(ctx, lim)
 			for _, engine := range []plans.Engine{plans.EngineLegacy, plans.EngineFused} {
 				as, err := plans.AssessAll(repo, paperex.Policies(), "cl", client, plans.Options{
-					Engine: engine, Workers: 1 + g.r.Intn(4), Budget: b,
+					Engine: engine, Budget: b,
 				})
 				if err != nil {
 					t.Fatalf("seed %d trial %d: budgeted run errored: %v", seed, trial, err)

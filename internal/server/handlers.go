@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 
 	"susc/internal/budget"
 	"susc/internal/engine"
@@ -232,7 +231,6 @@ func (s *Server) runMode(mode string, r *http.Request, src string, bud *budget.B
 		}
 		opts := plans.Options{
 			PruneNonCompliant: boolParam(q.Get("prune"), true),
-			Workers:           runtime.GOMAXPROCS(0),
 			Budget:            bud,
 		}
 		err = s.sess.AssessStream(f, c, opts, func(a plans.Assessment) error {
