@@ -92,7 +92,7 @@ func (s *FusedStats) Reset() {
 // stepping, no monitor copies and no interning.
 //
 // Everything on the expansion and replay hot paths is compiled to dense
-// form at engine construction (see compiled.go): requests and repository
+// form at engine construction (see ctree.go): requests and repository
 // locations get dense int32 indices (a plan becomes an int32 vector),
 // session trees are ctrees carrying their interned IDs, and the move
 // relation of a leaf is cached as a compiled row with successors
