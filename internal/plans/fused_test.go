@@ -67,10 +67,7 @@ func assertEquivalentPrune(t *testing.T, label string, prune bool, repo network.
 // TestFusedEquivalenceDeterministic: the engines agree on the curated
 // worlds — the paper's running example (valid, non-compliant, violating
 // and cyclic plans), the scaled hotel world, and the chained-brokers
-// workload. The larger chained rows (pruned only: unpruned, their plan
-// spaces are too large to enumerate) have families of hundreds of plans
-// and shared graphs of thousands of nodes, so the engine's tables and
-// arenas grow past their presized first blocks.
+// workload.
 func TestFusedEquivalenceDeterministic(t *testing.T) {
 	repo := network.Repository(paperex.Repository())
 	assertEquivalent(t, "paperex/C1", repo, paperex.Policies(), paperex.LocC1, paperex.C1())
@@ -79,22 +76,51 @@ func TestFusedEquivalenceDeterministic(t *testing.T) {
 	h := benchgen.Hotels(6)
 	assertEquivalent(t, "hotels(6)", h.Repo, h.Table, h.Loc, h.Client)
 
-	for _, tc := range []struct {
-		depth, fanout int
-		pruneOnly     bool
-	}{
-		{2, 3, false},
-		{3, 2, false},
-		{8, 2, true},
-		{4, 3, true},
-	} {
+	for _, tc := range []struct{ depth, fanout int }{{2, 3}, {3, 2}} {
 		c := benchgen.Chained(tc.depth, tc.fanout)
 		label := fmt.Sprintf("chained(%d,%d)", tc.depth, tc.fanout)
-		if tc.pruneOnly {
-			assertEquivalentPrune(t, label, true, c.Repo, c.Table, c.Loc, c.Client)
-			continue
-		}
 		assertEquivalent(t, label, c.Repo, c.Table, c.Loc, c.Client)
+	}
+}
+
+// TestFusedEquivalenceSharded: the engines agree on the large chained
+// worlds, pruned only (unpruned, their plan spaces are too large to
+// enumerate). Their families of hundreds of plans and shared graphs of
+// thousands of nodes grow the engine's tables and arenas past their
+// presized first blocks. The name is kept from when these worlds drove a
+// sharded expansion path; Workers is now ignored, so a run asking for
+// several workers must match the single-worker run exactly.
+func TestFusedEquivalenceSharded(t *testing.T) {
+	worlds := []struct {
+		name string
+		w    *benchgen.ChainedWorld
+	}{
+		{"chained(8,2)", benchgen.Chained(8, 2)},
+		{"chained(4,3)", benchgen.Chained(4, 3)},
+	}
+	for _, tc := range worlds {
+		w := tc.w
+		assertEquivalentPrune(t, tc.name, true, w.Repo, w.Table, w.Loc, w.Client)
+		one, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
+			plans.Options{PruneNonCompliant: true, Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: Workers=1: %v", tc.name, err)
+		}
+		if len(one) != w.PlanCount {
+			t.Fatalf("%s: assessed %d plans, want %d", tc.name, len(one), w.PlanCount)
+		}
+		var stats plans.FusedStats
+		four, err := plans.AssessAll(w.Repo, w.Table, w.Loc, w.Client,
+			plans.Options{PruneNonCompliant: true, Workers: 4, Stats: &stats})
+		if err != nil {
+			t.Fatalf("%s: Workers=4: %v", tc.name, err)
+		}
+		if stats.StatesExpanded.Load() == 0 {
+			t.Fatalf("%s: Workers=4 run expanded no states", tc.name)
+		}
+		if !reflect.DeepEqual(one, four) {
+			t.Fatalf("%s: Workers=4 assessments differ from Workers=1", tc.name)
+		}
 	}
 }
 
